@@ -5,12 +5,15 @@
 // the reproduction of Table I: requirement -> evidence -> PASS/FAIL.
 #include "bench_common.hpp"
 
+#include <filesystem>
+
 #include "analysis/correlate.hpp"
 #include "analysis/rules.hpp"
 #include "collect/probes.hpp"
 #include "response/actions.hpp"
 #include "response/alerts.hpp"
-#include "store/retention.hpp"
+#include "store/compactor.hpp"
+#include "store/tier.hpp"
 #include "transport/bus.hpp"
 #include "viz/dashboard.hpp"
 #include "viz/query.hpp"
@@ -148,32 +151,49 @@ int main() {
   }
 
   // ---- Data storage and formats ----------------------------------------------
-  store::TieredStore tiered(
-      store::RetentionPolicy{.hot_window = 10 * core::kMinute,
-                             .warm_window = core::kDay,
-                             .warm_bucket = 2 * core::kMinute,
-                             .warm_agg = store::Agg::kMean},
-      /*chunk_points=*/16);
   {
-    // Populate from the hot store's power series, then age it out.
+    // Copy the power series into a small-chunk hot store and compact it
+    // into the tier ladder half a day later, behind a 10-minute hot window.
     const auto sid = reg.series("power.system_w", mc.cluster.topology().system());
-    for (const auto& p : mc.tsdb.query_range(sid, {0, now})) {
-      tiered.append(sid, p.time, p.value);
+    const auto reference = mc.tsdb.query_range(sid, {0, now});
+    store::TimeSeriesStore hot(/*chunk_points=*/16);
+    for (const auto& p : reference) hot.append(sid, p.time, p.value);
+    const std::string dir = "/tmp/hpcmon_capability_tiers";
+    std::filesystem::remove_all(dir);
+    bool compacted = false;
+    {
+      store::TierStore::Options o;
+      o.dir = dir;
+      store::TierStore tiers(std::move(o));
+      const bool opened = tiers.open().is_ok();
+      store::CompactorOptions co;
+      co.hot_window = 10 * core::kMinute;
+      store::Compactor compactor({&hot}, &tiers, std::move(co));
+      compacted = opened &&
+                  compactor.run_pass(now + core::kDay / 2).is_ok() &&
+                  tiers.file_count() > 0;
     }
-    tiered.enforce(now + core::kDay / 2);
-    const auto full = tiered.query_full(sid, {0, now});
-    const auto ds = tiered.query_range(sid, {0, now});
+    // Locate and reload: a fresh TierStore recovers the ladder from the
+    // directory alone, and the span view over it plus the hot remainder
+    // answers the full history.
+    store::TierStore::Options o;
+    o.dir = dir;
+    store::TierStore reloaded(std::move(o));
+    const bool reopened = reloaded.open().is_ok() && reloaded.file_count() > 0;
+    const store::TierSpanView<store::TimeSeriesStore> span(&reloaded, &hot);
+    const auto full = span.query_range(sid, {0, now});
+    const auto ds = span.downsample(sid, {0, now}, 2 * core::kMinute,
+                                    store::Agg::kMean);
     row("Storage", "keep all data; historical with current",
-        full.size() >= mc.tsdb.query_range(sid, {0, now}).size() && !ds.empty(),
-        core::strformat("archive reload returned %zu raw points after aging",
+        compacted && full == reference && !ds.empty(),
+        core::strformat("span view returned %zu raw points after aging",
                         full.size()));
-    const auto path = std::string("/tmp/hpcmon_capability_archive.bin");
-    const bool saved = tiered.archive().save_to_file(path).is_ok();
-    const auto loaded = store::Archive::load_from_file(path);
-    std::remove(path.c_str());
     row("Storage", "hierarchical tiers with locate-and-reload",
-        saved && loaded.is_ok() && loaded.value().blob_count() > 0,
-        "cold tier serialized to a file and reloaded");
+        reopened && full == reference,
+        core::strformat("tier ladder (%zu files) recovered from disk and "
+                        "reloaded",
+                        reloaded.file_count()));
+    std::filesystem::remove_all(dir);
   }
   {
     // Analysis results stored with raw data.

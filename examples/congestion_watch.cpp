@@ -6,6 +6,7 @@
 // timeline with region details for the worst sweep, and closes with the
 // runtime-variability classification of the workload.
 #include <cstdio>
+#include <map>
 
 #include "analysis/congestion.hpp"
 #include "analysis/streaming.hpp"

@@ -5,6 +5,7 @@
 // rules, alerting, automated response, and job gating in one call — and the
 // operator console is a status line plus architecture-context heatmaps.
 #include <cstdio>
+#include <filesystem>
 
 #include "stack/stack.hpp"
 #include "viz/heatmap.hpp"
@@ -20,9 +21,9 @@ int main() {
       probe_interval_s  = 300
       health_interval_s = 300
       # storage tiers
-      hot_window_s  = 3600
-      warm_bucket_s = 300
-      chunk_points  = 64
+      tier_dir          = /tmp/hpcmon_stack_deploy_tiers
+      tier_hot_window_s = 3600
+      chunk_points      = 64
       # analysis & response
       rules   = true
       novelty = true
@@ -39,6 +40,8 @@ int main() {
   }
   std::printf("deploying with configuration:\n%s\n",
               config.value().dump().c_str());
+  // A fresh deployment: no tier ladder left over from an earlier run.
+  std::filesystem::remove_all(config.value().get_string("tier_dir", ""));
 
   sim::ClusterParams params;
   params.shape.cabinets = 2;

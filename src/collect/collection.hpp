@@ -16,7 +16,6 @@
 #include "collect/sampler.hpp"
 #include "obs/stage.hpp"
 #include "sim/cluster.hpp"
-#include "store/retention.hpp"
 #include "store/tsdb.hpp"
 #include "transport/event_router.hpp"
 
@@ -62,7 +61,6 @@ class CollectionService {
 
 /// Sink adapters.
 SampleSink store_sink(store::TimeSeriesStore& store);
-SampleSink tiered_sink(store::TieredStore& store);
 SampleSink router_sample_sink(transport::EventRouter& router);
 LogSink router_log_sink(transport::EventRouter& router);
 

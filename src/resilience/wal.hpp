@@ -2,15 +2,15 @@
 //
 // The paper's sites repeatedly lost analyses to monitoring that was not
 // trustworthy across restarts (Sec. IV; Table I "Data Storage": stores must
-// be dependable, "always on"). hpcmon's hot tier is in-memory, so a crash
-// between retention passes loses every hot sample. The WAL closes that hole:
+// be dependable, "always on"). hpcmon's hot store is in-memory, so a crash
+// loses every hot sample not yet compacted into a tier file. The WAL closes that hole:
 // every sample frame is appended (CRC32-framed) to an append-only segment
 // file *before* it is considered ingested; on restart, replay() restores the
 // un-persisted samples into the store, byte-identical to an uninterrupted
 // run (duplicate suppression falls out of the store's strictly-increasing
 // per-series timestamps).
 //
-// On-disk format (host-endian, like the archive files):
+// On-disk format (host-endian, like the tier files):
 //   segment file "wal-%08llu.seg":
 //     [u32 magic 'HPWL'][u32 version]
 //     record*: [u32 payload_len][u32 crc32(payload)][payload]
@@ -31,7 +31,7 @@
 // simulation substrate and called out in DESIGN.md). Rotation starts a new
 // segment once the active one exceeds segment_bytes; truncate_before()
 // deletes sealed segments whose newest sample is older than a durability
-// watermark (e.g. the hot-window cutoff once the archive has been spilled).
+// watermark (the tier watermark after each compaction pass).
 #pragma once
 
 #include <cstdint>

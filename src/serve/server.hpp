@@ -134,7 +134,7 @@ struct ServeHooks {
 };
 
 /// Bind the five query hooks to any store exposing the common read API
-/// (TimeSeriesStore, ShardedTimeSeriesStore, TieredStore's hot tier...).
+/// (TimeSeriesStore, ShardedTimeSeriesStore, TierSpanView...).
 template <typename Store>
 void bind_query_hooks(ServeHooks& hooks, Store& store) {
   hooks.query_range = [&store](core::SeriesId id, const core::TimeRange& r) {

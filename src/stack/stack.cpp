@@ -12,14 +12,6 @@ using core::Duration;
 using core::kSecond;
 
 namespace {
-store::RetentionPolicy retention_from(const core::Config& config) {
-  store::RetentionPolicy policy;
-  policy.hot_window = config.get_int("hot_window_s", 21600) * kSecond;
-  policy.warm_window = config.get_int("warm_window_s", 604800) * kSecond;
-  policy.warm_bucket = config.get_int("warm_bucket_s", 300) * kSecond;
-  return policy;
-}
-
 /// Parse "res_s:crit_s,std_s,bulk_s;..." (res_s 0 = raw); empty or
 /// unparseable keeps the standard raw/10s/5min/1h ladder. A tier whose
 /// fields don't all parse as non-negative integers with at least one
@@ -72,8 +64,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                                  const core::Config& config,
                                  resilience::FaultPlan* chaos)
     : cluster_(cluster),
-      tsdb_(retention_from(config),
-            static_cast<std::size_t>(config.get_int("chunk_points", 512))),
+      tsdb_(static_cast<std::size_t>(config.get_int("chunk_points", 512))),
       detectors_(cluster.registry()),
       collection_(cluster),
       chaos_(chaos) {
@@ -90,7 +81,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   collection_.set_stage_timer(&stages_);
 
   // Optional threaded ingest tier (ingest_shards > 0). The synchronous
-  // TieredStore path stays the default so existing benches remain
+  // hot-store path stays the default so existing benches remain
   // deterministic and reproducible.
   if (const auto shards = config.get_int("ingest_shards", 0); shards > 0) {
     sharded_ = std::make_unique<ingest::ShardedTimeSeriesStore>(
@@ -120,7 +111,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
         {"ingest.queue_fill", "frac",
          "max shard queue depth / capacity (refreshed per snapshot)"});
   } else {
-    // The synchronous hot tier is the active numeric store; its read-path
+    // The synchronous hot store is the active numeric store; its read-path
     // counters are the store.* instruments.
     tsdb_.hot().attach_to(obs_);
     tsdb_.hot().set_stage_timer(&stages_);
@@ -142,7 +133,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
       sharded_->attach_rollup(rollup_.get());
     } else {
       // Synchronous path: sync_append() observes, and membership follows
-      // hot-tier eviction through the same listener the shards use.
+      // hot-store eviction through the same listener the shards use.
       tsdb_.hot().set_series_gone_listener(
           [this](core::SeriesId id) { rollup_->forget_series(id); });
     }
@@ -192,10 +183,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
               tiers_.get(), &tsdb_.hot());
     }
     store::CompactorOptions co;
-    co.hot_window =
-        config.get_int("tier_hot_window_s",
-                       config.get_int("hot_window_s", 21600)) *
-        kSecond;
+    co.hot_window = config.get_int("tier_hot_window_s", 21600) * kSecond;
     co.priority_of = [this](core::SeriesId id) {
       return cluster_.registry().series_priority(id);
     };
@@ -648,15 +636,6 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
         cluster_, config.get_int("gate_repair_s", 1800) * kSecond);
     gate_->attach(pre, post);
   }
-
-  // Hourly retention maintenance on the simulation timeline.
-  archive_path_ = config.get_string("archive_path", "");
-  cluster_.events().schedule_every(
-      cluster_.now() + core::kHour, core::kHour,
-      [this, alive = alive_](core::TimePoint) {
-        if (!*alive) return;
-        enforce_retention();
-      });
 }
 
 MonitoringStack::~MonitoringStack() {
@@ -700,7 +679,7 @@ ShutdownReport MonitoringStack::shutdown(std::chrono::milliseconds deadline) {
 
 std::size_t MonitoringStack::sync_append(
     const std::vector<core::Sample>& samples) {
-  const auto appended = tsdb_.append_batch(samples);
+  const auto appended = tsdb_.hot().append_batch(samples);
   // Observing the whole batch (including any store-rejected out-of-order
   // samples) is harmless: the tree keeps only each series' max-time value
   // and the merge discards anything older than the applied last_time.
@@ -798,26 +777,6 @@ resilience::SupervisorStats MonitoringStack::supervisor_stats() const {
   return total;
 }
 
-void MonitoringStack::enforce_retention() {
-  // With a tier ladder configured, on-disk tiered retention owns eviction
-  // (compaction passes evict behind the durable watermark); the in-memory
-  // warm/archive ladder stands down so the two never race over a chunk.
-  if (tiers_) return;
-  const auto archived = tsdb_.enforce(cluster_.now());
-  if (archived > 0 && !archive_path_.empty()) {
-    if (tsdb_.archive().save_to_file(archive_path_).is_ok()) {
-      ++archive_saves_;
-      // History older than the hot window now lives in the just-spilled
-      // archive file; the matching WAL segments are no longer the only
-      // durable copy and can go. Without an archive_path the WAL is the
-      // only durable tier, so it is never truncated.
-      if (wal_) {
-        wal_->truncate_before(cluster_.now() - tsdb_.policy().hot_window);
-      }
-    }
-  }
-}
-
 void MonitoringStack::on_log_frame(const transport::Frame& frame) {
   auto events = transport::decode_logs(frame);
   if (!events.is_ok()) return;
@@ -841,10 +800,10 @@ void MonitoringStack::on_log_frame(const transport::Frame& frame) {
 std::string MonitoringStack::status() const {
   const auto st = ingest_ ? sharded_->stats() : tsdb_.hot().stats();
   std::string line = core::strformat(
-      "t=%s series=%zu points=%zu archived_blobs=%zu logs=%zu jobs=%zu "
+      "t=%s series=%zu points=%zu logs=%zu jobs=%zu "
       "alerts_active=%zu actions=%zu",
       core::format_time(cluster_.now()).c_str(), st.series, st.points,
-      tsdb_.archive().blob_count(), logs_.size(), jobs_.size(),
+      logs_.size(), jobs_.size(),
       alerts_.active().size(), actions_.log().size());
   if (ingest_) {
     line += core::strformat(

@@ -2,7 +2,7 @@
 //
 // Table I (Architecture): "changes in data direction and data access easily
 // configured and changed" and "extensibility and modularity are fundamental".
-// MonitoringStack wires samplers -> EventRouter -> tiered store / log store /
+// MonitoringStack wires samplers -> EventRouter -> numeric store / log store /
 // job store, plus the rule engine -> alert manager -> action dispatcher
 // chain, entirely from a flat Config — the deployment description a site
 // would keep in version control. Every subsystem remains reachable for
@@ -13,13 +13,7 @@
 //   log_interval_s      (15)    log drain period
 //   probe_interval_s    (600)   0 disables the probe suite
 //   health_interval_s   (600)   0 disables the health battery
-//   hot_window_s        (21600) TSDB hot retention
-//   warm_window_s       (604800)
-//   warm_bucket_s       (300)
 //   chunk_points        (512)   TSDB chunk seal threshold
-//   archive_path        ("")    when set, the cold tier is saved to this
-//                               file after every retention pass (the
-//                               "locate and reload" handoff to slow media)
 //   rules               (true)  install the standard platform rule set
 //   numeric_alerts      (true)  detector bank on key numeric series
 //   min_free_mem_gb     (8)     below-threshold watch on node free memory
@@ -31,7 +25,7 @@
 //   quarantine_on_hw_critical (false) automated node quarantine action
 //   ingest_shards       (0)     >0 routes numeric samples through the
 //                               threaded sharded ingest tier (src/ingest)
-//                               instead of the synchronous TieredStore
+//                               instead of the synchronous hot-store
 //                               append; 0 keeps the deterministic default
 //   ingest_queue_cap    (256)   bounded sub-batches per shard queue
 //   ingest_policy       (block) overload policy: block|drop_oldest|reject
@@ -92,9 +86,11 @@
 //                               directory is recovered at construction
 //                               (journal replay) BEFORE the WAL replays, so
 //                               samples already durable in a tier are not
-//                               re-ingested.
+//                               re-ingested. Unset = nothing is ever evicted
+//                               from the hot store and the WAL is never
+//                               truncated.
 //   compact_interval_s  (3600)  compactor pass cadence (simulated timeline)
-//   tier_hot_window_s   (hot_window_s) age at which sealed hot chunks are
+//   tier_hot_window_s   (21600) age at which sealed hot chunks are
 //                               tiered out and evicted behind the durable
 //                               watermark
 //   tier_disk_budget_mb (1024)  denominator of the compact.disk_fill gauge
@@ -151,8 +147,8 @@
 #include "store/compactor.hpp"
 #include "store/jobstore.hpp"
 #include "store/logstore.hpp"
-#include "store/retention.hpp"
 #include "store/tier.hpp"
+#include "store/tsdb.hpp"
 #include "transport/event_router.hpp"
 
 namespace hpcmon::stack {
@@ -204,8 +200,20 @@ class MonitoringStack {
   ~MonitoringStack();
 
   // -- Data access -----------------------------------------------------------
-  store::TieredStore& tsdb() { return tsdb_; }
-  const store::TieredStore& tsdb() const { return tsdb_; }
+  /// Holder of the synchronous numeric store (the active store unless
+  /// ingest_shards > 0). Kept as a holder so existing tsdb().hot() callers,
+  /// the e2e bench harness among them, compile unchanged.
+  class SyncStore {
+   public:
+    explicit SyncStore(std::size_t chunk_points) : hot_(chunk_points) {}
+    store::TimeSeriesStore& hot() { return hot_; }
+    const store::TimeSeriesStore& hot() const { return hot_; }
+
+   private:
+    store::TimeSeriesStore hot_;
+  };
+  SyncStore& tsdb() { return tsdb_; }
+  const SyncStore& tsdb() const { return tsdb_; }
   store::LogStore& logs() { return logs_; }
   store::JobStore& jobs() { return jobs_; }
   transport::EventRouter& router() { return router_; }
@@ -303,14 +311,8 @@ class MonitoringStack {
     return gate_ ? &gate_->stats() : nullptr;
   }
 
-  /// Run retention maintenance (call periodically, or rely on the built-in
-  /// hourly schedule installed at construction). Spills the archive to
-  /// `archive_path` when configured.
-  void enforce_retention();
-  std::uint64_t archive_saves() const { return archive_saves_; }
-
   /// Read-path self-metrics of whichever numeric store is active (the
-  /// sharded ingest tier when enabled, the hot tier otherwise); also
+  /// sharded ingest tier when enabled, the hot store otherwise); also
   /// reported as store.* in status().
   store::QueryStats store_query_stats() const {
     return ingest_ ? sharded_->query_stats() : tsdb_.hot().query_stats();
@@ -335,7 +337,7 @@ class MonitoringStack {
   void on_log_frame(const transport::Frame& frame);
   void apply_degradation(core::DegradationMode mode);
   void refresh_live_gauges() const;
-  /// Synchronous numeric append (the non-ingest path): the hot tier takes
+  /// Synchronous numeric append (the non-ingest path): the hot store takes
   /// the batch, then the rollup tree (when enabled) observes it, exactly as
   /// the sharded appenders do on the threaded path.
   std::size_t sync_append(const std::vector<core::Sample>& samples);
@@ -349,7 +351,7 @@ class MonitoringStack {
   obs::ObsExporter exporter_;
   mutable resilience::HealthSignalAssembler health_assembler_;
   transport::EventRouter router_;
-  store::TieredStore tsdb_;
+  SyncStore tsdb_;
   store::LogStore logs_;
   store::JobStore jobs_;
   analysis::RuleEngine rules_;
@@ -361,8 +363,6 @@ class MonitoringStack {
   std::unique_ptr<response::HealthGate> gate_;
   std::unique_ptr<analysis::NoveltyDetector> novelty_;
   std::vector<analysis::NoveltyEvent> novelty_reports_;
-  std::string archive_path_;
-  std::uint64_t archive_saves_ = 0;
   // Declared before the ingest tier: the shard appenders observe every
   // sample into the tree, so the tree must outlive them (ingest_ joins its
   // workers first, then sharded_ goes, then rollup_).

@@ -305,8 +305,15 @@ class TierStore {
 /// through every tier without knowing tiers exist. Tier data is strictly
 /// older than the hot store (eviction happens behind the durable watermark)
 /// except for a transient window right after a commit, where a point can
-/// briefly exist on both sides: exact-timestamp duplicates resolve in favor
-/// of the hot store.
+/// briefly exist on both sides.
+///
+/// Reads stay exact while a compactor on another thread moves chunks across
+/// the seam. The compactor commits a chunk to a tier before evicting it, and
+/// evicts each series' oldest chunks first. query_range therefore reads hot
+/// before tiers (a chunk evicted in between is already in a tier; the
+/// duplicate resolves in favor of hot). aggregate and downsample cannot
+/// dedup, so they ask tiers only for [range.begin, seam), where the seam is
+/// the oldest hot point in range, and retry if the seam moved meanwhile.
 template <typename Hot>
 class TierSpanView {
  public:
@@ -315,8 +322,8 @@ class TierSpanView {
 
   std::vector<core::TimedValue> query_range(core::SeriesId series,
                                             const core::TimeRange& range) const {
-    auto cold = tiers_->query_range(series, range);
     auto hot = hot_->query_range(series, range);
+    auto cold = tiers_->query_range(series, range);
     if (cold.empty()) return hot;
     std::vector<core::TimedValue> out;
     out.reserve(cold.size() + hot.size());
@@ -350,8 +357,12 @@ class TierSpanView {
       if (!sum || !cnt || *cnt == 0.0) return std::nullopt;
       return *sum / *cnt;
     }
-    const auto cold = tiers_->aggregate(series, range, agg);
-    const auto hot = hot_->aggregate(series, range, agg);
+    std::optional<double> cold;
+    std::optional<double> hot;
+    at_seam(series, range, [&](const core::TimeRange& tier_range) {
+      cold = tiers_->aggregate(series, tier_range, agg);
+      hot = hot_->aggregate(series, range, agg);
+    });
     if (!cold) return hot;
     if (!hot) return cold;
     switch (agg) {
@@ -369,8 +380,12 @@ class TierSpanView {
                                            const core::TimeRange& range,
                                            core::Duration bucket,
                                            Agg agg) const {
-    auto cold = tiers_->downsample(series, range, bucket, agg);
-    auto hot = hot_->downsample(series, range, bucket, agg);
+    std::vector<core::TimedValue> cold;
+    std::vector<core::TimedValue> hot;
+    at_seam(series, range, [&](const core::TimeRange& tier_range) {
+      cold = tiers_->downsample(series, tier_range, bucket, agg);
+      hot = hot_->downsample(series, range, bucket, agg);
+    });
     if (cold.empty()) return hot;
     if (hot.empty()) return cold;
     // Tier data precedes hot data; at most the boundary bucket collides.
@@ -408,6 +423,31 @@ class TierSpanView {
   }
 
  private:
+  /// Oldest hot point of `series` in `range`, or range.end if none.
+  core::TimePoint hot_front(core::SeriesId series,
+                            const core::TimeRange& range) const {
+    core::TimePoint front = range.end;
+    hot_->scan(series, range, [&front](const core::TimedValue& v) {
+      front = v.time;
+      return false;
+    });
+    return front;
+  }
+
+  /// Run `read(tier_range)` with tier_range = [range.begin, seam). The hot
+  /// store holds nothing in range before the seam and can gain nothing
+  /// there, so hot reads keep `range`. An unchanged seam afterwards proves
+  /// no chunk crossed it mid-read; a moved seam retries.
+  template <typename Read>
+  void at_seam(core::SeriesId series, const core::TimeRange& range,
+               Read&& read) const {
+    for (;;) {
+      const auto seam = hot_front(series, range);
+      read(core::TimeRange{range.begin, seam});
+      if (hot_front(series, range) == seam) return;
+    }
+  }
+
   core::TimedValue merge_bucket(core::SeriesId series,
                                 const core::TimedValue& cold,
                                 const core::TimedValue& hot,

@@ -126,7 +126,7 @@ class TimeSeriesStore {
       const;
 
   /// Remove sealed chunks entirely older than `cutoff`, handing each to
-  /// `sink` (archive hook) before deletion. Head data is never evicted.
+  /// `sink` before deletion. Head data is never evicted.
   /// Evicted chunks are also dropped from the decode cache.
   std::size_t evict_before(core::TimePoint cutoff,
                            const std::function<void(core::SeriesId,

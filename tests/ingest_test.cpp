@@ -3,6 +3,7 @@
 // end-to-end ingest, self-metrics, and MonitoringStack wiring.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -293,6 +294,57 @@ TEST(IngestPipelineTest, ConcurrentProducersMatchSynchronousIngest) {
   EXPECT_GT(m.appends, 0u);
   // Every append recorded exactly one batch-size histogram entry.
   EXPECT_EQ(m.batch_samples.count, m.appends);
+}
+
+TEST(IngestPipelineTest, CoalescedQueueWaitNeverWrapsNegative) {
+  // 4 producers racing one coalescing worker. One producer submits large
+  // sub-batches, so a drain that pops one spends milliseconds copying it
+  // into the merge arena; the other three trickle in single samples, which
+  // arrive during that copy and are coalesced into the same drain. Each
+  // sub-batch's queue wait is measured at its own pop, so none of those
+  // late arrivals goes negative and wraps to ~1.8e19 us.
+  constexpr int kLarge = 12;
+  constexpr int kLargeSamples = 500000;
+  std::atomic<bool> large_done{false};
+  std::atomic<std::uint64_t> small_batches{0};
+  obs::StageTimer stages;
+  ShardedTimeSeriesStore sharded(1, 64);
+  IngestPipeline pipe(sharded, {.queue_capacity = 1024,
+                                .policy = OverloadPolicy::kBlock,
+                                .max_coalesce_batches = 16,
+                                .stages = &stages});
+  pipe.start();
+  std::vector<std::thread> producers;
+  producers.emplace_back([&] {
+    for (int i = 0; i < kLarge; ++i) {
+      SampleBatch b;
+      for (int k = 0; k < kLargeSamples; ++k) {
+        const auto t = static_cast<core::TimePoint>(i) * kLargeSamples + k + 1;
+        b.samples.push_back({SeriesId{0}, t, 1.0 * k});
+      }
+      pipe.submit(b);
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    large_done = true;
+  });
+  for (std::uint32_t p = 1; p < 4; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; !large_done; ++i) {
+        SampleBatch b;
+        b.samples.push_back({SeriesId{p}, (i + 1) * core::kSecond, 1.0 * i});
+        pipe.submit(b);
+        ++small_batches;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  pipe.drain();
+
+  const auto wait = stages.histogram(obs::Stage::kQueueWait).snapshot();
+  EXPECT_EQ(wait.count, kLarge + small_batches.load());
+  EXPECT_LT(wait.max, 60u * 1000 * 1000);  // 60 s
+  EXPECT_GT(pipe.metrics().snapshot().appends, 0u);
 }
 
 TEST(IngestMetricsTest, SelfMetricsBecomeSeries) {

@@ -1,9 +1,11 @@
 // End-to-end pipeline: simulated platform -> synchronized collection ->
-// EventRouter transport -> tiered store + log store + job store -> analysis
+// EventRouter transport -> numeric store + log store + job store -> analysis
 // (rules, detectors) -> alerts -> automated response -> dashboard queries.
 //
 // This is the paper's Table I exercised as one running system.
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "analysis/rules.hpp"
 #include "collect/collection.hpp"
@@ -13,7 +15,9 @@
 #include "response/alerts.hpp"
 #include "store/jobstore.hpp"
 #include "store/logstore.hpp"
-#include "store/retention.hpp"
+#include "store/compactor.hpp"
+#include "store/tier.hpp"
+#include "store/tsdb.hpp"
 #include "transport/codec.hpp"
 #include "transport/event_router.hpp"
 #include "viz/drilldown.hpp"
@@ -25,7 +29,7 @@ namespace {
 struct Pipeline {
   sim::Cluster cluster;
   transport::EventRouter router;
-  store::TieredStore tsdb;
+  store::TimeSeriesStore tsdb{64};  // small chunks: 32 min of 30 s sweeps
   store::LogStore logs;
   store::JobStore jobs;
   analysis::RuleEngine rules;
@@ -45,7 +49,7 @@ struct Pipeline {
     return p;
   }
 
-  Pipeline() : cluster(params()), tsdb(store::RetentionPolicy{}) {
+  Pipeline() : cluster(params()) {
     // Collection -> router (binary frames), router -> stores.
     for (auto& sampler : collect::make_all_samplers(cluster)) {
       collection.add_sampler(std::move(sampler), 30 * core::kSecond,
@@ -147,26 +151,37 @@ TEST(IntegrationTest, FullPipelineEndToEnd) {
 
 TEST(IntegrationTest, RetentionPreservesQueryabilityOverDays) {
   Pipeline p;
-  // Use a small synthetic series pushed directly through the tiered store at
-  // cluster pace: 26 hours of 1-minute power data via collection.
   sim::WorkloadParams w;
   w.mean_interarrival = 2 * core::kMinute;
   w.max_nodes = 8;
   p.cluster.start_workload(w);
-  // Run 2 simulated hours (enough to cross the 6h hot window? no — so force
-  // retention with a short policy instead).
   p.cluster.run_for(2 * core::kHour);
-  const auto before = p.tsdb.hot().stats().points;
-  EXPECT_GT(before, 0u);
-  p.tsdb.enforce(p.cluster.now() + 7 * core::kHour);  // age everything out
   const auto power_sid = p.cluster.registry().series(
       "power.system_w", p.cluster.topology().system());
-  // Full-fidelity history still available via archive reload.
-  const auto full = p.tsdb.query_full(power_sid, {0, p.cluster.now()});
-  EXPECT_GT(full.size(), 200u);
-  // Dashboard query path (hot+warm) also still answers.
-  const auto ds = p.tsdb.query_range(power_sid, {0, p.cluster.now()});
-  EXPECT_FALSE(ds.empty());
+  const core::TimeRange all{0, p.cluster.now() + 1};
+  const auto raw = p.tsdb.query_range(power_sid, all);
+  ASSERT_GT(raw.size(), 200u);
+
+  // Age every sealed chunk out of the hot store: one compaction pass 7 h
+  // ahead of the clock, behind the default 6 h hot window.
+  const std::string dir = "/tmp/hpcmon_integration_tiers";
+  std::filesystem::remove_all(dir);
+  store::TierStore::Options o;
+  o.dir = dir;
+  store::TierStore tiers(std::move(o));
+  ASSERT_TRUE(tiers.open().is_ok());
+  store::Compactor compactor({&p.tsdb}, &tiers, store::CompactorOptions{});
+  ASSERT_TRUE(compactor.run_pass(p.cluster.now() + 7 * core::kHour).is_ok());
+  EXPECT_LT(p.tsdb.query_range(power_sid, all).size(), raw.size());
+
+  // Full-fidelity history still answers through the span view, and so does
+  // the dashboard's downsampled path.
+  const store::TierSpanView<store::TimeSeriesStore> span(&tiers, &p.tsdb);
+  EXPECT_EQ(span.query_range(power_sid, all), raw);
+  EXPECT_FALSE(
+      span.downsample(power_sid, all, 5 * core::kMinute, store::Agg::kMean)
+          .empty());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(IntegrationTest, DrillDownFindsInjectedIoJob) {
@@ -190,7 +205,7 @@ TEST(IntegrationTest, DrillDownFindsInjectedIoJob) {
   for (int i = 0; i < p.cluster.topology().num_nodes(); ++i) {
     node_comps.push_back(p.cluster.topology().node(i));
   }
-  const auto agg = viz::aggregate_across(p.tsdb.hot(), reg, "node.write_mbps",
+  const auto agg = viz::aggregate_across(p.tsdb, reg, "node.write_mbps",
                                          node_comps, {0, p.cluster.now()},
                                          store::Agg::kSum);
   ASSERT_FALSE(agg.empty());
@@ -201,7 +216,7 @@ TEST(IntegrationTest, DrillDownFindsInjectedIoJob) {
   EXPECT_GT(peak.value, 1000.0);
 
   // Drill down at the spike: the io_checkpoint job is responsible.
-  viz::DrillDown drill(p.tsdb.hot(), reg, p.jobs);
+  viz::DrillDown drill(p.tsdb, reg, p.jobs);
   const auto result = drill.investigate(
       "node.write_mbps", node_comps, peak.time, core::kMinute,
       [&p](core::ComponentId c) { return p.cluster.topology().node_index(c); });

@@ -1,6 +1,6 @@
 // End-to-end resilience: crash recovery from the WAL (hot tier restored
 // byte-identical to an uninterrupted run), shutdown draining the ingest
-// tier, WAL truncation behind the archive watermark, and the operator
+// tier, WAL truncation behind the tier watermark, and the operator
 // surface for all of it.
 #include "stack/stack.hpp"
 
@@ -45,7 +45,7 @@ std::string fresh_wal_dir(const std::string& name) {
 TEST(StackRecoveryTest, CrashRecoveryRestoresHotTierByteIdentical) {
   const auto wal_dir = fresh_wal_dir("crash");
   const std::string cfg = "sample_interval_s = 30\nwal_path = " + wal_dir + "\n";
-  constexpr auto kRunTime = 40 * core::kMinute;  // < first retention pass
+  constexpr auto kRunTime = 40 * core::kMinute;
 
   // Reference: identical cluster seed, no WAL, uninterrupted.
   sim::Cluster ref_cluster(cluster_params());
@@ -86,8 +86,8 @@ TEST(StackRecoveryTest, CrashRecoveryRestoresHotTierByteIdentical) {
     const auto ref_sid = core::SeriesId{i};
     const auto& metric = ref_reg.metric(ref_reg.series_metric(ref_sid));
     const auto sid = reg.series(metric.name, ref_reg.series_component(ref_sid));
-    const auto want = ref.tsdb().query_range(ref_sid, all);
-    const auto got = recovered.tsdb().query_range(sid, all);
+    const auto want = ref.tsdb().hot().query_range(ref_sid, all);
+    const auto got = recovered.tsdb().hot().query_range(sid, all);
     EXPECT_EQ(got, want) << "series " << ref_reg.series_name(ref_sid);
     ++compared;
     if (!want.empty()) ++nonempty;
@@ -136,22 +136,64 @@ TEST(StackRecoveryTest, ShutdownDrainsIngestBeforeTeardown) {
   stack.shutdown();
 }
 
-TEST(StackRecoveryTest, WalTruncatesOnlyBehindTheArchive) {
+TEST(StackRecoveryTest, WalTruncatesOnlyBehindTheTierWatermark) {
   const auto wal_dir = fresh_wal_dir("truncate");
-  const std::string archive = "/tmp/hpcmon_recovery_archive.bin";
-  std::remove(archive.c_str());
+  const auto tier_dir = fresh_wal_dir("truncate_tiers");
+  const std::string cfg =
+      "tier_hot_window_s = 1800\nsample_interval_s = 30\nchunk_points = 32\n"
+      "wal_segment_bytes = 4096\ntier_dir = " + tier_dir +
+      "\nwal_path = " + wal_dir + "\n";
   sim::Cluster cluster(cluster_params());
-  MonitoringStack stack(cluster, parse(
-      "hot_window_s = 1800\nsample_interval_s = 30\nchunk_points = 32\n"
-      "wal_segment_bytes = 4096\n"
-      "archive_path = " + archive + "\nwal_path = " + wal_dir + "\n"));
-  cluster.run_for(3 * core::kHour);  // hourly retention fires twice
-  ASSERT_GT(stack.archive_saves(), 0u);
-  ASSERT_NE(stack.wal(), nullptr);
-  // Small segments rotated often; everything archived got truncated away.
-  EXPECT_GT(stack.wal()->stats().segments_created, 2u);
-  EXPECT_GT(stack.wal()->stats().segments_truncated, 0u);
-  std::remove(archive.c_str());
+  auto stack = std::make_unique<MonitoringStack>(cluster, parse(cfg));
+  cluster.run_for(3 * core::kHour);  // hourly compaction fires three times
+  ASSERT_NE(stack->wal(), nullptr);
+  ASSERT_NE(stack->tiers(), nullptr);
+  EXPECT_GT(stack->tiers()->file_count(), 0u);
+  // Small segments rotated often; everything behind the watermark is in a
+  // tier file, so those segments were truncated away.
+  EXPECT_GT(stack->wal()->stats().segments_created, 2u);
+  EXPECT_GT(stack->wal()->stats().segments_truncated, 0u);
+
+  // Every WAL-carried series, answered across hot + tiers before a crash.
+  // hpcmon.self.* series are left out: the stack appends them straight to
+  // the store and never writes them to the WAL.
+  auto& reg = cluster.registry();
+  const core::TimeRange all{0, cluster.now() + core::kSecond};
+  std::vector<core::SeriesId> series;
+  std::vector<std::vector<core::TimedValue>> before;
+  {
+    const store::TierSpanView<store::TimeSeriesStore> span(
+        stack->tiers(), &stack->tsdb().hot());
+    for (std::uint32_t i = 0; i < reg.series_count(); ++i) {
+      const core::SeriesId sid{i};
+      if (reg.metric(reg.series_metric(sid)).name.starts_with("hpcmon.self.")) {
+        continue;
+      }
+      series.push_back(sid);
+      before.push_back(span.query_range(sid, all));
+    }
+  }
+  stack->simulate_crash();
+  stack.reset();
+
+  // Restart on the same directories: tier recovery, then WAL replay of
+  // everything above the watermark.
+  MonitoringStack recovered(cluster, parse(cfg));
+  ASSERT_NE(recovered.tiers(), nullptr);
+  EXPECT_GT(recovered.replay_stats().samples, 0u);
+  const store::TierSpanView<store::TimeSeriesStore> span(
+      recovered.tiers(), &recovered.tsdb().hot());
+  std::size_t tier_spanning = 0;
+  for (std::size_t k = 0; k < series.size(); ++k) {
+    EXPECT_EQ(span.query_range(series[k], all), before[k])
+        << "series " << reg.series_name(series[k]);
+    if (!recovered.tiers()->query_range(series[k], all).empty()) {
+      ++tier_spanning;
+    }
+  }
+  EXPECT_GT(series.size(), 100u);
+  EXPECT_GT(tier_spanning, 50u);
+  fs::remove_all(tier_dir);
   fs::remove_all(wal_dir);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 namespace hpcmon::stack {
 namespace {
 
@@ -17,10 +19,24 @@ sim::ClusterParams cluster_params() {
   return p;
 }
 
-core::Config parse(const char* text) {
+core::Config parse(const std::string& text) {
   auto r = core::Config::parse(text);
   EXPECT_TRUE(r.is_ok());
   return r.value();
+}
+
+std::string fresh_tier_dir(const std::string& name) {
+  const std::string dir = "/tmp/hpcmon_stack_test_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// A 30-minute hot window with 32-point chunks, so the hourly compaction
+/// moves real history into the tier ladder within a few simulated hours.
+std::string tiered_config(const std::string& dir) {
+  return "tier_hot_window_s = 1800\nsample_interval_s = 30\n"
+         "chunk_points = 32\ntier_dir = " +
+         dir + "\n";
 }
 
 TEST(StackTest, DefaultConfigCollectsEverything) {
@@ -129,25 +145,29 @@ TEST(StackTest, GateInstalledFromConfig) {
   EXPECT_EQ(stack.gate_stats()->pre_failures, 1u);
 }
 
-TEST(StackTest, ArchiveSpillsToFileAndReloads) {
-  const std::string path = "/tmp/hpcmon_stack_archive_test.bin";
-  std::remove(path.c_str());
+TEST(StackTest, TierDirSpillsToDiskAndReloads) {
+  const auto dir = fresh_tier_dir("reload");
   sim::Cluster cluster(cluster_params());
-  const std::string cfg_text =
-      "hot_window_s = 1800\nsample_interval_s = 30\nchunk_points = 32\n"
-      "archive_path = " +
-      path + "\n";
-  MonitoringStack stack(cluster, parse(cfg_text.c_str()));
-  cluster.run_for(3 * core::kHour);
-  EXPECT_GT(stack.archive_saves(), 0u);
-  // The spilled file is a loadable archive containing real history.
-  const auto loaded = store::Archive::load_from_file(path);
-  ASSERT_TRUE(loaded.is_ok());
-  EXPECT_GT(loaded.value().blob_count(), 0u);
-  const auto sid = cluster.registry().series("power.system_w",
-                                             cluster.topology().system());
-  EXPECT_FALSE(loaded.value().fetch(sid, {0, cluster.now()}).empty());
-  std::remove(path.c_str());
+  core::SeriesId sid{0};
+  std::vector<core::TimedValue> spilled;
+  {
+    MonitoringStack stack(cluster, parse(tiered_config(dir)));
+    cluster.run_for(3 * core::kHour);
+    ASSERT_NE(stack.tiers(), nullptr);
+    EXPECT_GT(stack.tiers()->file_count(), 0u);
+    sid = cluster.registry().series("power.system_w",
+                                    cluster.topology().system());
+    spilled = stack.tiers()->query_range(sid, {0, cluster.now()});
+  }
+  EXPECT_FALSE(spilled.empty());
+  // Locate and reload: a fresh TierStore recovered from the directory alone
+  // serves the same history the stack spilled.
+  store::TierStore::Options o;
+  o.dir = dir;
+  store::TierStore reloaded(std::move(o));
+  ASSERT_TRUE(reloaded.open().is_ok());
+  EXPECT_EQ(reloaded.query_range(sid, {0, cluster.now()}), spilled);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StackTest, NumericAlertsFireOnInjectedConditions) {
@@ -179,21 +199,31 @@ TEST(StackTest, NumericAlertsCanBeDisabled) {
   }
 }
 
-TEST(StackTest, RetentionScheduleArchives) {
+TEST(StackTest, CompactionScheduleTiersHistory) {
+  const auto dir = fresh_tier_dir("schedule");
   sim::Cluster cluster(cluster_params());
-  MonitoringStack stack(cluster, parse(R"(
-      hot_window_s = 1800
-      warm_bucket_s = 300
-      sample_interval_s = 30
-      chunk_points = 32
-  )"));
-  cluster.run_for(3 * core::kHour);  // hourly enforcement fires twice
-  EXPECT_GT(stack.tsdb().archive().blob_count(), 0u);
-  // Full-fidelity history still retrievable.
+  MonitoringStack stack(cluster, parse(tiered_config(dir)));
+  cluster.run_for(3 * core::kHour);  // hourly compaction fires three times
+  ASSERT_NE(stack.tiers(), nullptr);
+  EXPECT_GT(stack.tiers()->file_count(), 0u);
   const auto sid = cluster.registry().series("power.system_w",
                                              cluster.topology().system());
-  const auto full = stack.tsdb().query_full(sid, {0, cluster.now()});
-  EXPECT_GT(full.size(), 300u);
+  const core::TimeRange all{0, cluster.now() + 1};
+  const auto hot = stack.tsdb().hot().query_range(sid, all);
+  // The oldest chunks left the hot store, yet the span view still answers
+  // every sweep of the run exactly once, at full fidelity.
+  const store::TierSpanView<store::TimeSeriesStore> span(stack.tiers(),
+                                                         &stack.tsdb().hot());
+  const auto full = span.query_range(sid, all);
+  ASSERT_FALSE(hot.empty());
+  EXPECT_GT(hot.front().time, 30 * core::kSecond);
+  ASSERT_GT(full.size(), 300u);
+  EXPECT_EQ(full.front().time, 30 * core::kSecond);
+  EXPECT_EQ(full.back(), hot.back());
+  for (std::size_t i = 1; i < full.size(); ++i) {
+    EXPECT_EQ(full[i].time - full[i - 1].time, 30 * core::kSecond);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
