@@ -67,7 +67,7 @@ double run_with_wal(const std::vector<SampleBatch>& sweeps,
   resilience::WriteAheadLog wal({.dir = dir, .segment_bytes = segment_bytes});
   const auto t0 = steady_clock::now();
   for (const auto& b : sweeps) {
-    wal.append(b);
+    wal.append(transport::encode_samples(b));
     store.append_batch(b.samples);
   }
   const double secs = seconds_since(t0);

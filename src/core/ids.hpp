@@ -23,6 +23,11 @@ constexpr std::uint32_t raw(SeriesId id) { return static_cast<std::uint32_t>(id)
 constexpr std::uint32_t raw(ComponentId id) { return static_cast<std::uint32_t>(id); }
 constexpr std::uint64_t raw(JobId id) { return static_cast<std::uint64_t>(id); }
 
+/// Exclusive bound on SeriesIds taken from the wire: stores index per-series
+/// tables by raw id, so a relayed id past it is refused, not grown to. 2^22
+/// series is ~150k nodes at the ~28 series per node hpcmon samples.
+constexpr std::uint32_t kWireSeriesIdLimit = 1u << 22;
+
 constexpr ComponentId kNoComponent = ComponentId{0xFFFFFFFFu};
 constexpr JobId kNoJob = JobId{0xFFFFFFFFFFFFFFFFull};
 

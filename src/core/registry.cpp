@@ -90,6 +90,13 @@ Priority MetricRegistry::series_priority(SeriesId id) const {
   return metrics_.at(series_.at(raw(id)).metric).priority;
 }
 
+std::optional<Priority> MetricRegistry::find_series_priority(
+    SeriesId id) const {
+  std::scoped_lock lock(mu_);
+  if (raw(id) >= series_.size()) return std::nullopt;
+  return metrics_[series_[raw(id)].metric].priority;
+}
+
 std::uint32_t MetricRegistry::series_metric(SeriesId id) const {
   std::scoped_lock lock(mu_);
   return series_.at(raw(id)).metric;

@@ -65,6 +65,9 @@ class MetricRegistry {
   ComponentId series_component(SeriesId id) const;
   /// Shedding class of an interned series (its metric family's priority).
   Priority series_priority(SeriesId id) const;
+  /// series_priority() for an id that may never have been interned (a
+  /// relayed node-local id, a hostile frame): nullopt instead of throwing.
+  std::optional<Priority> find_series_priority(SeriesId id) const;
   /// "metric@component" label for reports.
   std::string series_name(SeriesId id) const;
 

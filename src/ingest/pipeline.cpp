@@ -48,7 +48,8 @@ IngestPipeline::IngestPipeline(ShardedTimeSeriesStore& store,
   }
 }
 
-core::Priority IngestPipeline::priority_of(core::SeriesId series) {
+std::optional<core::Priority> IngestPipeline::priority_of(
+    core::SeriesId series) {
   if (!config_.priority_of) return core::Priority::kStandard;
   const auto idx = static_cast<std::size_t>(core::raw(series));
   {
@@ -58,9 +59,10 @@ core::Priority IngestPipeline::priority_of(core::SeriesId series) {
     }
   }
   const auto pri = config_.priority_of(series);
+  if (!pri) return std::nullopt;
   std::unique_lock lock(pri_mu_);
   if (idx >= pri_cache_.size()) pri_cache_.resize(idx + 1, 255);
-  pri_cache_[idx] = static_cast<std::uint8_t>(pri);
+  pri_cache_[idx] = static_cast<std::uint8_t>(*pri);
   return pri;
 }
 
@@ -94,7 +96,8 @@ std::size_t IngestPipeline::submit(const core::SampleBatch& batch) {
   std::array<std::size_t, kClasses> offered{};
   std::array<std::size_t, kClasses> shed{};
   for (const auto& s : batch.samples) {
-    const auto pri = priority_of(s.series);
+    const auto known = priority_of(s.series);
+    const auto pri = known.value_or(core::Priority::kStandard);
     const auto cls = static_cast<std::size_t>(pri);
     ++offered[cls];
     if (pri == core::Priority::kBulk &&
@@ -102,10 +105,12 @@ std::size_t IngestPipeline::submit(const core::SampleBatch& batch) {
       ++shed[cls];
       continue;
     }
+    // An unknown id has no per-series counter to thin by, so SUMMARIZE
+    // sheds it outright.
     if (pri == core::Priority::kStandard) {
       if (mode == core::DegradationMode::kQuarantine ||
           (mode == core::DegradationMode::kSummarize &&
-           !admit_standard(s.series))) {
+           (!known || !admit_standard(s.series)))) {
         ++shed[cls];
         continue;
       }

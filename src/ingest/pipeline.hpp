@@ -28,10 +28,10 @@
 // away, SUMMARIZE downsamples standard per series, QUARANTINE admits only
 // critical. Voluntary sheds and involuntary losses are counted per class.
 //
-// Determinism: the synchronous store path stays the default in
-// MonitoringStack; the pipeline is opt-in (ingest_shards > 0). For
-// deterministic overload tests, construct without start(): submissions then
-// exercise the policies against static full queues with exact counts.
+// Determinism: MonitoringStack appends inline into one shard by default;
+// the pipeline is opt-in (ingest_shards > 0). For deterministic overload
+// tests, construct without start(): submissions then exercise the policies
+// against static full queues with exact counts.
 #pragma once
 
 #include <atomic>
@@ -40,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string_view>
 #include <thread>
@@ -79,10 +80,11 @@ struct IngestConfig {
   std::size_t max_coalesce_batches = 16;
   /// Worker wake period while idle (bounds shutdown latency).
   int idle_poll_ms = 20;
-  /// Priority lookup for a series (typically MetricRegistry::series_priority
-  /// via the owning stack). Unset => every sample is kStandard and the
-  /// priority machinery is inert (seed behavior).
-  std::function<core::Priority(core::SeriesId)> priority_of;
+  /// Priority lookup (MetricRegistry::find_series_priority via the stack).
+  /// nullopt marks an id the registry never interned: admitted as kStandard
+  /// but never cached, so such ids cannot grow the cache. Unset => every
+  /// sample is kStandard and the priority machinery is inert.
+  std::function<std::optional<core::Priority>(core::SeriesId)> priority_of;
   /// In SUMMARIZE mode, admit every Nth standard-class sample per series
   /// (downsample-on-ingest); the rest are counted as voluntarily shed.
   std::size_t standard_stride = 4;
@@ -161,7 +163,7 @@ class IngestPipeline {
 
  private:
   void worker(std::size_t shard);
-  core::Priority priority_of(core::SeriesId series);
+  std::optional<core::Priority> priority_of(core::SeriesId series);
   bool admit_standard(core::SeriesId series);
 
   ShardedTimeSeriesStore& store_;

@@ -179,8 +179,10 @@ void WriteAheadLog::seal_active() {
   sealed_.push_back(std::move(s));
 }
 
-core::Status WriteAheadLog::append(const SampleBatch& batch) {
-  if (batch.empty()) return Status::ok();
+core::Status WriteAheadLog::append(const transport::Frame& frame) {
+  const auto info = transport::inspect_samples(frame);
+  if (!info.is_ok()) return Status::corruption("wal: " + info.message());
+  if (info.value().count == 0) return Status::ok();
   if (dead_ || file_ == nullptr) {
     append_failures_.add();
     return Status::error("wal: log is poisoned");
@@ -205,7 +207,7 @@ core::Status WriteAheadLog::append(const SampleBatch& batch) {
         return Status::error("wal: injected short write (torn tail)");
     }
   }
-  const auto payload = transport::encode_samples(batch).payload;
+  const auto& payload = frame.payload;
   const auto len = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = core::crc32(payload.data(), payload.size());
   const bool ok = write_u32(file_, len) && write_u32(file_, crc) &&
@@ -220,9 +222,9 @@ core::Status WriteAheadLog::append(const SampleBatch& batch) {
     return Status::error("wal: short write");
   }
   file_bytes_ += 8 + payload.size();
-  active_max_time_ = std::max(active_max_time_, batch_max_time(batch));
+  active_max_time_ = std::max(active_max_time_, info.value().max_time);
   appended_records_.add();
-  appended_samples_.add(batch.size());
+  appended_samples_.add(info.value().count);
   appended_bytes_.add(8 + payload.size());
   if (file_bytes_ >= opts_.segment_bytes) {
     seal_active();

@@ -44,6 +44,7 @@
 #include "core/sample.hpp"
 #include "obs/registry.hpp"
 #include "resilience/fault.hpp"
+#include "transport/codec.hpp"
 
 namespace hpcmon::resilience {
 
@@ -84,11 +85,14 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Append one batch as a CRC-framed record (empty batches are a no-op).
-  /// The record is flushed before returning. Errors (real or injected) are
-  /// counted; an injected short write leaves a torn tail and poisons the
-  /// log (subsequent appends fail), simulating a crash mid-record.
-  core::Status append(const core::SampleBatch& batch);
+  /// Append one encoded sample frame (transport::encode_samples) as a
+  /// CRC-framed record holding its payload unchanged (empty batches are a
+  /// no-op); a malformed frame (transport::inspect_samples) is refused with
+  /// kCorruption and writes nothing. The record is flushed before returning.
+  /// I/O errors (real or injected) are counted; an injected short write
+  /// leaves a torn tail and poisons the log (subsequent appends fail),
+  /// simulating a crash mid-record.
+  core::Status append(const transport::Frame& frame);
 
   /// Flush the active segment's stdio buffer.
   core::Status sync();

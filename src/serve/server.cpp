@@ -111,6 +111,10 @@ void ServeServer::attach_to(obs::ObsRegistry& registry) const {
   registry.attach({"serve.relay_window_rejects", "batches",
                    "relay appends beyond the dedupe window (resent later)"},
                   &relay_window_rejects_);
+  registry.attach({"serve.relay_refused_samples", "samples",
+                   "relayed samples refused for a SeriesId past the wire "
+                   "limit"},
+                  &relay_refused_samples_);
   registry.attach({"serve.relay_sources", "sources",
                    "relay sources with dedupe state"},
                   &relay_sources_gauge_);
@@ -738,6 +742,12 @@ void ServeServer::handle_relay_append(const std::shared_ptr<Connection>& conn,
       reply_error(conn, frame.request_id, "bad relay payload");
       return;
     }
+    // A hostile id would grow every per-series table to its length; the
+    // rest of the batch still applies, so the relay never wedges on it.
+    auto& samples = decoded.value().samples;
+    relay_refused_samples_.add(std::erase_if(samples, [](const auto& s) {
+      return core::raw(s.series) >= core::kWireSeriesIdLimit;
+    }));
     const std::size_t applied =
         hooks_.relay_apply(decoded.value(), req.priority);
     src.applied_above.insert(req.seq);
@@ -796,7 +806,12 @@ void ServeServer::handle_subscribe(const std::shared_ptr<Connection>& conn,
 
 bool ServeServer::sub_matches(Subscription& sub, core::SeriesId id) {
   const auto idx = static_cast<std::size_t>(core::raw(id));
-  if (idx >= sub.match_cache.size()) sub.match_cache.resize(idx + 1, 0);
+  if (idx >= sub.match_cache.size()) {
+    // An id the registry never interned (a relayed node-local id) matches
+    // nothing, so the cache never outgrows the registry.
+    if (idx >= hooks_.registry->series_count()) return false;
+    sub.match_cache.resize(idx + 1, 0);
+  }
   if (sub.match_cache[idx] == 0) {
     const bool hit =
         core::topic_match(sub.pattern, hooks_.registry->series_name(id));
@@ -810,7 +825,9 @@ std::size_t ServeServer::publish_batch(const core::SampleBatch& batch) {
   std::lock_guard<std::mutex> lock(subs_mu_);
   if (subs_.empty()) return 0;
   Span span(delta_fanout_us_);
-  // Resolve (and memoize) each sample's priority class once per batch.
+  // Resolve (and memoize) each sample's priority class once per batch. Only
+  // samples a subscription matched get here, so every id is interned (see
+  // sub_matches) and the cache stays within the registry's size.
   const auto priority_of = [this](core::SeriesId id) {
     const auto idx = static_cast<std::size_t>(core::raw(id));
     if (idx >= pri_cache_.size()) pri_cache_.resize(idx + 1, 255);
@@ -938,6 +955,7 @@ ServeStats ServeServer::stats() const {
   s.relay_applied_samples = relay_applied_samples_.value();
   s.relay_duplicates = relay_duplicates_.value();
   s.relay_window_rejects = relay_window_rejects_.value();
+  s.relay_refused_samples = relay_refused_samples_.value();
   s.rollup_queries = rollup_queries_.value();
   s.rollup_deltas = rollup_deltas_.value();
   s.connections = static_cast<std::size_t>(connections_.value());

@@ -121,7 +121,9 @@ struct ServeHooks {
   /// requests answer kError). Called exactly once per novel (source_id,
   /// seq) with the decoded batch and its priority class; must be durable
   /// by the time it returns (the ack promises the client it may forget).
-  /// Returns the number of samples applied.
+  /// Samples whose SeriesId is at or past core::kWireSeriesIdLimit are
+  /// refused (counted) before the call. Returns the number of samples
+  /// applied.
   std::function<std::size_t(const core::SampleBatch&, core::Priority)>
       relay_apply;
   /// Rollup level read by NAME (required for kRollupQuery / kRollupSub;
@@ -174,6 +176,7 @@ struct ServeStats {
   std::uint64_t relay_applied_samples = 0;
   std::uint64_t relay_duplicates = 0;
   std::uint64_t relay_window_rejects = 0;
+  std::uint64_t relay_refused_samples = 0;
   std::uint64_t rollup_queries = 0;
   std::uint64_t rollup_deltas = 0;
   std::size_t connections = 0;
@@ -359,6 +362,7 @@ class ServeServer {
   obs::Counter relay_applied_samples_;
   obs::Counter relay_duplicates_;
   obs::Counter relay_window_rejects_;
+  obs::Counter relay_refused_samples_;
   obs::Counter rollup_queries_;
   obs::Counter rollup_deltas_;
   obs::Gauge rollup_subs_gauge_;

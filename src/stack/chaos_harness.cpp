@@ -27,6 +27,77 @@ sim::ClusterParams harness_cluster(std::uint64_t seed) {
 constexpr std::size_t kBulkSeries = 32;
 constexpr std::size_t kDeadLetterCap = 32;
 
+/// The node config both harnesses start from. The sampler deadline is real,
+/// so injected hangs are abandoned to watchdog threads (reclaimed by
+/// release_hangs) instead of stalling the sweep.
+core::Config base_config(const std::string& wal_dir) {
+  core::Config config;
+  config.set("sample_interval_s", "30");
+  config.set("log_interval_s", "15");
+  config.set("probe_interval_s", "0");
+  config.set("health_interval_s", "120");
+  config.set("ingest_shards", "2");
+  config.set("ingest_queue_cap", "64");
+  config.set("ingest_policy", "drop_oldest");
+  config.set("wal_path", wal_dir);
+  config.set("sampler_deadline_ms", "50");
+  config.set("breaker_threshold", "3");
+  return config;
+}
+
+/// The harness's own load under one service component: a critical-class
+/// heartbeat series (the liveness proof) and kBulkSeries bulk-class flood
+/// series (what the storm phases pour in).
+struct HarnessLoad {
+  core::ComponentId component;
+  core::SeriesId heartbeat;
+  std::vector<core::SeriesId> bulk;
+
+  HarnessLoad(sim::Cluster& cluster, const std::string& prefix,
+              const std::string& heartbeat_help) {
+    auto& registry = cluster.registry();
+    component = registry.register_component(
+        {prefix + ".harness", core::ComponentKind::kService,
+         cluster.topology().system()});
+    heartbeat = registry.series(
+        registry.register_metric({prefix + ".heartbeat", "beats",
+                                  heartbeat_help, true,
+                                  core::Priority::kCritical}),
+        component);
+    for (std::size_t i = 0; i < kBulkSeries; ++i) {
+      const auto m = registry.register_metric(
+          {prefix + ".bulk_flood." + std::to_string(i), "points",
+           "synthetic bulk-class storm load", false, core::Priority::kBulk});
+      bulk.push_back(registry.series(m, component));
+    }
+  }
+
+  /// One tick through the router: heartbeat number `beat`, then `flood` bulk
+  /// batches, each striding every bulk series so both shards feel it.
+  void publish(transport::EventRouter& router, core::TimePoint t,
+               std::uint64_t beat, std::uint32_t flood) const {
+    core::SampleBatch hb;
+    hb.sweep_time = t;
+    hb.origin = component;
+    hb.samples.push_back({heartbeat, t, static_cast<double>(beat)});
+    auto frame = transport::encode_samples(hb);
+    frame.priority = core::Priority::kCritical;
+    router.publish(frame);
+    for (std::uint32_t b = 0; b < flood; ++b) {
+      core::SampleBatch batch;
+      batch.sweep_time = t;
+      batch.origin = component;
+      for (const auto series : bulk) {
+        batch.samples.push_back({series, t + static_cast<core::Duration>(b),
+                                 static_cast<double>(b)});
+      }
+      auto bulk_frame = transport::encode_samples(batch);
+      bulk_frame.priority = core::Priority::kBulk;
+      router.publish(bulk_frame);
+    }
+  }
+};
+
 }  // namespace
 
 std::string ChaosReport::to_string() const {
@@ -58,20 +129,8 @@ ChaosReport run_chaos(
   std::filesystem::remove_all(wal_dir);
   std::filesystem::remove_all(tier_dir);
 
-  core::Config config;
-  config.set("sample_interval_s", "30");
-  config.set("log_interval_s", "15");
-  config.set("probe_interval_s", "0");
-  config.set("health_interval_s", "120");
-  config.set("ingest_shards", "2");
-  config.set("ingest_queue_cap", "64");
-  config.set("ingest_policy", "drop_oldest");
-  config.set("wal_path", wal_dir);
+  core::Config config = base_config(wal_dir);
   config.set("dead_letter_cap", std::to_string(kDeadLetterCap));
-  // A real deadline so injected hangs are abandoned to watchdog threads
-  // (and reclaimed by release_hangs) instead of stalling the sweep.
-  config.set("sampler_deadline_ms", "50");
-  config.set("breaker_threshold", "3");
   config.set("breaker_cooldown_s", "120");
   config.set("degradation", "1");
   config.set("degradation_interval_s", "30");
@@ -86,27 +145,11 @@ ChaosReport run_chaos(
   sim::Cluster cluster(harness_cluster(scenario.seed));
   resilience::FaultPlan plan(scenario.seed);
   auto stack = std::make_unique<MonitoringStack>(cluster, config, &plan);
-  auto& registry = cluster.registry();
 
-  // The liveness proof: one critical-class heartbeat series, published
-  // through the full path (router -> WAL -> ingest) every tick. After the
-  // storm every beat must be in the store — byte-complete critical data.
-  const auto harness_component = registry.register_component(
-      {"chaos.harness", core::ComponentKind::kService,
-       cluster.topology().system()});
-  const auto hb_metric = registry.register_metric(
-      {"chaos.heartbeat", "beats", "storm-mode liveness heartbeat", true,
-       core::Priority::kCritical});
-  const auto hb_series = registry.series(hb_metric, harness_component);
-
-  // Bulk-class flood series: the load the storm phases pour in.
-  std::vector<core::SeriesId> bulk_series;
-  for (std::size_t i = 0; i < kBulkSeries; ++i) {
-    const auto m = registry.register_metric(
-        {"chaos.bulk_flood." + std::to_string(i), "points",
-         "synthetic bulk-class storm load", false, core::Priority::kBulk});
-    bulk_series.push_back(registry.series(m, harness_component));
-  }
+  // The liveness proof: the heartbeat goes through the full path (router ->
+  // WAL -> ingest) every tick. After the storm every beat must be in the
+  // store — byte-complete critical data.
+  const HarnessLoad load(cluster, "chaos", "storm-mode liveness heartbeat");
 
   resilience::ChaosSchedule schedule(scenario);
   resilience::ChaosSchedule::Hooks hooks;
@@ -142,34 +185,8 @@ ChaosReport run_chaos(
   const auto tick = 10 * core::kSecond;
   cluster.events().schedule_every(
       cluster.now() + tick, tick, [&](core::TimePoint t) {
-        // Heartbeat through the full stack path.
-        core::SampleBatch hb;
-        hb.sweep_time = t;
-        hb.origin = harness_component;
-        hb.samples.push_back(
-            {hb_series, t, static_cast<double>(report.heartbeats_sent)});
-        auto frame = transport::encode_samples(hb);
-        frame.priority = core::Priority::kCritical;
-        stack->router().publish(frame);
-        ++report.heartbeats_sent;
-
-        // Bulk flood when a phase calls for it: each batch strides the bulk
-        // series so queue pressure lands on both shards.
-        const auto flood = schedule.active_bulk_batches_per_tick();
-        for (std::uint32_t b = 0; b < flood; ++b) {
-          core::SampleBatch bulk;
-          bulk.sweep_time = t;
-          bulk.origin = harness_component;
-          for (std::size_t i = 0; i < bulk_series.size(); ++i) {
-            bulk.samples.push_back(
-                {bulk_series[i], t + static_cast<core::Duration>(b),
-                 static_cast<double>(b)});
-          }
-          auto bulk_frame = transport::encode_samples(bulk);
-          bulk_frame.priority = core::Priority::kBulk;
-          stack->router().publish(bulk_frame);
-        }
-
+        load.publish(stack->router(), t, report.heartbeats_sent++,
+                     schedule.active_bulk_batches_per_tick());
         // Track the controller's trajectory.
         if (const auto* d = stack->degradation()) {
           report.max_mode =
@@ -210,15 +227,13 @@ ChaosReport run_chaos(
   // hot store before a crash live in tier files, and the span view merges
   // both sides (hot wins exact-timestamp duplicates).
   const core::TimeRange hb_window{0, cluster.now() + core::kHour};
-  if (stack->tiers() != nullptr) {
-    const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
-        stack->tiers(), stack->sharded_store());
-    report.heartbeats_stored =
-        static_cast<std::uint64_t>(span.query_range(hb_series, hb_window).size());
-  } else {
-    report.heartbeats_stored = static_cast<std::uint64_t>(
-        stack->sharded_store()->query_range(hb_series, hb_window).size());
-  }
+  const auto* hot = stack->sharded_store();
+  report.heartbeats_stored =
+      (stack->tiers() != nullptr
+           ? store::TierSpanView(stack->tiers(), hot)
+                 .query_range(load.heartbeat, hb_window)
+           : hot->query_range(load.heartbeat, hb_window))
+          .size();
 
   // Invariants, in the order an operator would triage them.
   if (!report.shutdown_clean) {
@@ -297,17 +312,7 @@ NetworkStormReport run_network_storm(
   // aggregator. Fast real-time backoff so reconnect storms resolve within
   // the test's wall clock; scenarios/overrides may re-pin any knob.
   sim::Cluster cluster(harness_cluster(scenario.seed));
-  core::Config config;
-  config.set("sample_interval_s", "30");
-  config.set("log_interval_s", "15");
-  config.set("probe_interval_s", "0");
-  config.set("health_interval_s", "120");
-  config.set("ingest_shards", "2");
-  config.set("ingest_queue_cap", "64");
-  config.set("ingest_policy", "drop_oldest");
-  config.set("wal_path", node_wal);
-  config.set("sampler_deadline_ms", "50");
-  config.set("breaker_threshold", "3");
+  core::Config config = base_config(node_wal);
   config.set("relay_upstream", std::to_string(aggregator.serve()->port()));
   config.set("relay_backoff_ms", "2");
   config.set("relay_backoff_max_ms", "50");
@@ -315,25 +320,11 @@ NetworkStormReport run_network_storm(
   for (const auto& [k, v] : scenario.config_overrides) config.set(k, v);
   for (const auto& [k, v] : overrides) config.set(k, v);
   MonitoringStack node(cluster, config, &plan);
-  auto& registry = cluster.registry();
 
-  // The liveness proof, end to end across the wire: a critical heartbeat
-  // published through the node's full path (router -> WAL -> ingest AND
-  // router -> relay -> aggregator) every tick.
-  const auto harness_component = registry.register_component(
-      {"netstorm.harness", core::ComponentKind::kService,
-       cluster.topology().system()});
-  const auto hb_metric = registry.register_metric(
-      {"netstorm.heartbeat", "beats", "relay storm liveness heartbeat", true,
-       core::Priority::kCritical});
-  const auto hb_series = registry.series(hb_metric, harness_component);
-  std::vector<core::SeriesId> bulk_series;
-  for (std::size_t i = 0; i < kBulkSeries; ++i) {
-    const auto m = registry.register_metric(
-        {"netstorm.bulk_flood." + std::to_string(i), "points",
-         "synthetic bulk-class storm load", false, core::Priority::kBulk});
-    bulk_series.push_back(registry.series(m, harness_component));
-  }
+  // The liveness proof, end to end across the wire: the heartbeat goes
+  // through the node's full path (router -> WAL -> ingest AND router ->
+  // relay -> aggregator) every tick.
+  const HarnessLoad load(cluster, "netstorm", "relay storm liveness heartbeat");
 
   resilience::ChaosSchedule schedule(scenario);
   schedule.arm(cluster.events(), cluster.now(), plan);
@@ -341,30 +332,8 @@ NetworkStormReport run_network_storm(
   const auto tick = 10 * core::kSecond;
   cluster.events().schedule_every(
       cluster.now() + tick, tick, [&](core::TimePoint t) {
-        core::SampleBatch hb;
-        hb.sweep_time = t;
-        hb.origin = harness_component;
-        hb.samples.push_back(
-            {hb_series, t, static_cast<double>(report.heartbeats_sent)});
-        auto frame = transport::encode_samples(hb);
-        frame.priority = core::Priority::kCritical;
-        node.router().publish(frame);
-        ++report.heartbeats_sent;
-
-        const auto flood = schedule.active_bulk_batches_per_tick();
-        for (std::uint32_t b = 0; b < flood; ++b) {
-          core::SampleBatch bulk;
-          bulk.sweep_time = t;
-          bulk.origin = harness_component;
-          for (std::size_t i = 0; i < bulk_series.size(); ++i) {
-            bulk.samples.push_back(
-                {bulk_series[i], t + static_cast<core::Duration>(b),
-                 static_cast<double>(b)});
-          }
-          auto bulk_frame = transport::encode_samples(bulk);
-          bulk_frame.priority = core::Priority::kBulk;
-          node.router().publish(bulk_frame);
-        }
+        load.publish(node.router(), t, report.heartbeats_sent++,
+                     schedule.active_bulk_batches_per_tick());
       });
 
   // The sim runs in slices with a real-time relay drain between them: the
@@ -410,9 +379,9 @@ NetworkStormReport run_network_storm(
   // second dedupe layer, so at-least-once resends cannot double a point.
   const core::TimeRange hb_window{0, cluster.now() + core::kHour};
   const auto node_points =
-      node.sharded_store()->query_range(hb_series, hb_window);
+      node.sharded_store()->query_range(load.heartbeat, hb_window);
   const auto upstream_points =
-      aggregator.tsdb().hot().query_range(hb_series, hb_window);
+      aggregator.sharded_store()->query_range(load.heartbeat, hb_window);
   report.node_heartbeats = static_cast<std::uint64_t>(node_points.size());
   report.upstream_heartbeats =
       static_cast<std::uint64_t>(upstream_points.size());

@@ -64,9 +64,11 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                                  const core::Config& config,
                                  resilience::FaultPlan* chaos)
     : cluster_(cluster),
-      tsdb_(static_cast<std::size_t>(config.get_int("chunk_points", 512))),
       detectors_(cluster.registry()),
       collection_(cluster),
+      store_(static_cast<std::size_t>(std::max<std::int64_t>(
+                 1, config.get_int("ingest_shards", 0))),
+             static_cast<std::size_t>(config.get_int("chunk_points", 512))),
       chaos_(chaos) {
   const Duration sample_interval =
       config.get_int("sample_interval_s", 60) * kSecond;
@@ -79,43 +81,8 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   stages_.attach_to(obs_);
   router_.attach_to(obs_);
   collection_.set_stage_timer(&stages_);
-
-  // Optional threaded ingest tier (ingest_shards > 0). The synchronous
-  // hot-store path stays the default so existing benches remain
-  // deterministic and reproducible.
-  if (const auto shards = config.get_int("ingest_shards", 0); shards > 0) {
-    sharded_ = std::make_unique<ingest::ShardedTimeSeriesStore>(
-        static_cast<std::size_t>(shards),
-        static_cast<std::size_t>(config.get_int("chunk_points", 512)));
-    sharded_->attach_to(obs_);
-    sharded_->set_stage_timer(&stages_);
-    ingest::IngestConfig ic;
-    ic.queue_capacity =
-        static_cast<std::size_t>(config.get_int("ingest_queue_cap", 256));
-    ic.policy = ingest::policy_from_string(
-        config.get_string("ingest_policy", "block"),
-        ingest::OverloadPolicy::kBlock);
-    ic.max_coalesce_batches =
-        static_cast<std::size_t>(config.get_int("ingest_coalesce", 16));
-    ic.obs = &obs_;
-    ic.stages = &stages_;
-    // Priority-aware shedding: the pipeline resolves (and caches) each
-    // series' class from the registry, so bulk drops first and critical is
-    // never dropped.
-    ic.priority_of = [this](core::SeriesId id) {
-      return cluster_.registry().series_priority(id);
-    };
-    ingest_ = std::make_unique<ingest::IngestPipeline>(*sharded_, ic);
-    if (config.get_bool("ingest_autostart", true)) ingest_->start();
-    queue_fill_gauge_ = &obs_.gauge(
-        {"ingest.queue_fill", "frac",
-         "max shard queue depth / capacity (refreshed per snapshot)"});
-  } else {
-    // The synchronous hot store is the active numeric store; its read-path
-    // counters are the store.* instruments.
-    tsdb_.hot().attach_to(obs_);
-    tsdb_.hot().set_stage_timer(&stages_);
-  }
+  store_.attach_to(obs_);
+  store_.set_stage_timer(&stages_);
 
   // Topology rollup tree (rollup_enable = 1): every sample folds into a
   // per-shard pending cell on the append path, and the scheduled coalescing
@@ -124,19 +91,12 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   // recovery and WAL replay so restored history is rolled up too.
   if (config.get_bool("rollup_enable", false)) {
     rollup::RollupConfig rc;
-    rc.shards = sharded_ ? sharded_->shard_count() : 1;
+    rc.shards = store_.shard_count();
     rollup_ = std::make_unique<rollup::RollupTree>(cluster_.registry(), rc);
     rollup_->attach_to(obs_);
-    if (sharded_) {
-      // The sharded store observes every accepted append into the tree and
-      // wires its series-gone listeners to forget_series.
-      sharded_->attach_rollup(rollup_.get());
-    } else {
-      // Synchronous path: sync_append() observes, and membership follows
-      // hot-store eviction through the same listener the shards use.
-      tsdb_.hot().set_series_gone_listener(
-          [this](core::SeriesId id) { rollup_->forget_series(id); });
-    }
+    // The store observes every append into the tree and wires its
+    // series-gone listeners to forget_series.
+    store_.attach_rollup(rollup_.get());
     // Clamped to >= 1 s: a zero period would repeat at the same sim
     // timestamp forever (EventQueue repeaters reschedule at now + period).
     const Duration rollup_tick_interval =
@@ -169,23 +129,19 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   if (tiers_) {
     tiers_->attach_to(obs_);
     std::vector<store::TimeSeriesStore*> shards;
-    if (sharded_) {
-      for (std::size_t i = 0; i < sharded_->shard_count(); ++i) {
-        shards.push_back(&sharded_->shard(i));
-      }
-      span_sharded_ = std::make_unique<
-          store::TierSpanView<ingest::ShardedTimeSeriesStore>>(
-          tiers_.get(), sharded_.get());
-    } else {
-      shards.push_back(&tsdb_.hot());
-      span_hot_ =
-          std::make_unique<store::TierSpanView<store::TimeSeriesStore>>(
-              tiers_.get(), &tsdb_.hot());
+    for (std::size_t i = 0; i < store_.shard_count(); ++i) {
+      shards.push_back(&store_.shard(i));
     }
+    span_ = std::make_unique<
+        store::TierSpanView<ingest::ShardedTimeSeriesStore>>(tiers_.get(),
+                                                             &store_);
     store::CompactorOptions co;
     co.hot_window = config.get_int("tier_hot_window_s", 21600) * kSecond;
+    // An aggregator's store holds relayed ids its registry never interned;
+    // those age as standard.
     co.priority_of = [this](core::SeriesId id) {
-      return cluster_.registry().series_priority(id);
+      return cluster_.registry().find_series_priority(id).value_or(
+          core::Priority::kStandard);
     };
     compactor_ = std::make_unique<store::Compactor>(std::move(shards),
                                                     tiers_.get(),
@@ -215,7 +171,9 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
 
   // Resilience tier: WAL recovery + durable append, sampler supervision.
   // Replay happens BEFORE collection is wired so restored history cannot
-  // interleave with new sweeps.
+  // interleave with new sweeps, and before the WAL, pipeline, serve and
+  // relay tiers exist, so commit() lands it inline in the store before the
+  // constructor returns.
   const std::string wal_path = config.get_string("wal_path", "");
   if (!wal_path.empty()) {
     replay_stats_ = resilience::WriteAheadLog::replay(
@@ -224,18 +182,10 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
           // file; replaying them would double-count against the span view.
           if (tiers_) {
             const auto wm = tiers_->watermark();
-            auto& s = batch.samples;
-            s.erase(std::remove_if(s.begin(), s.end(),
-                                   [wm](const core::Sample& x) {
-                                     return x.time < wm;
-                                   }),
-                    s.end());
+            std::erase_if(batch.samples,
+                          [wm](const auto& s) { return s.time < wm; });
           }
-          if (sharded_) {
-            sharded_->append_batch(batch.samples);
-          } else {
-            sync_append(batch.samples);
-          }
+          commit(batch, nullptr, false);
         });
     // Replay ran exactly once, at construction: export its outcome through
     // registry-owned counters so it appears in the same snapshot as
@@ -263,17 +213,40 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     dopts.dead_letter_cap =
         static_cast<std::size_t>(config.get_int("dead_letter_cap", 64));
     resilience::ReliableDelivery::DeliverFn append_fn =
-        [this](const transport::Frame& f) {
-          auto batch = transport::decode_samples(f);
-          if (!batch.is_ok()) return batch.status();
-          return wal_->append(batch.value());
-        };
+        [this](const transport::Frame& f) { return wal_->append(f); };
     if (chaos_ != nullptr) {
       append_fn = resilience::faulty_deliver(std::move(append_fn), *chaos_);
     }
     wal_delivery_ = std::make_unique<resilience::ReliableDelivery>(
         std::move(append_fn), dopts);
     wal_delivery_->attach_to(obs_);
+  }
+
+  // Optional threaded ingest pipeline (ingest_shards > 0), one worker per
+  // store shard. Without it commit() appends inline, which keeps the
+  // default stack deterministic and reproducible.
+  if (config.get_int("ingest_shards", 0) > 0) {
+    ingest::IngestConfig ic;
+    ic.queue_capacity =
+        static_cast<std::size_t>(config.get_int("ingest_queue_cap", 256));
+    ic.policy = ingest::policy_from_string(
+        config.get_string("ingest_policy", "block"),
+        ingest::OverloadPolicy::kBlock);
+    ic.max_coalesce_batches =
+        static_cast<std::size_t>(config.get_int("ingest_coalesce", 16));
+    ic.obs = &obs_;
+    ic.stages = &stages_;
+    // Priority-aware shedding: the pipeline resolves (and caches) each
+    // series' class from the registry, so bulk drops first and critical is
+    // never dropped.
+    ic.priority_of = [this](core::SeriesId id) {
+      return cluster_.registry().find_series_priority(id);
+    };
+    ingest_ = std::make_unique<ingest::IngestPipeline>(store_, ic);
+    if (config.get_bool("ingest_autostart", true)) ingest_->start();
+    queue_fill_gauge_ = &obs_.gauge(
+        {"ingest.queue_fill", "frac",
+         "max shard queue depth / capacity (refreshed per snapshot)"});
   }
 
   const int sampler_deadline_ms = config.get_int("sampler_deadline_ms", 0);
@@ -376,15 +349,10 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
           // line — system-level utilization and live-node count — straight
           // from the current snapshot (advisory fields; the pressure model
           // is unchanged).
-          if (rollup_) {
-            const auto fleet = rollup_->snapshot();
-            degradation_->evaluate(
-                t, health_assembler_.assemble(obs_snapshot(), fleet.get(),
-                                              cluster_.topology().system()));
-          } else {
-            degradation_->evaluate(
-                t, health_assembler_.assemble(obs_snapshot()));
-          }
+          const auto fleet = rollup_ ? rollup_->snapshot() : nullptr;
+          degradation_->evaluate(
+              t, health_assembler_.assemble(obs_snapshot(), fleet.get(),
+                                            cluster_.topology().system()));
         });
   }
 
@@ -404,18 +372,14 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     sc.socket_faults = chaos_;
     sc.obs = &obs_;
     serve::ServeHooks hooks;
-    // Queries answer from whichever numeric store is active — the exact
-    // objects in-process callers read, so results are byte-identical. With
-    // a tier ladder configured, the span view answers instead: dashboards
-    // reach back through every resolution tier without knowing tiers exist.
-    if (span_sharded_) {
-      serve::bind_query_hooks(hooks, *span_sharded_);
-    } else if (span_hot_) {
-      serve::bind_query_hooks(hooks, *span_hot_);
-    } else if (sharded_) {
-      serve::bind_query_hooks(hooks, *sharded_);
+    // Queries answer from the numeric store — the exact object in-process
+    // callers read, so results are byte-identical. With a tier ladder
+    // configured, the span view answers instead: dashboards reach back
+    // through every resolution tier without knowing tiers exist.
+    if (span_) {
+      serve::bind_query_hooks(hooks, *span_);
     } else {
-      serve::bind_query_hooks(hooks, tsdb_.hot());
+      serve::bind_query_hooks(hooks, store_);
     }
     hooks.registry = &cluster_.registry();
     hooks.status = [this] { return status(); };
@@ -454,26 +418,19 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
       };
     }
     // Aggregator ingest for relayed batches: the server dedupes by
-    // (source, seq) before calling this, so the hook applies each novel
-    // batch through the SAME pathway local samples take — WAL first, then
-    // the active numeric store, then the live-subscription fan-out.
-    // Detector/rule analysis stays node-side (it already ran there).
+    // (source, seq) before calling this, so the hook commits each novel
+    // batch through the SAME pathway local samples take, minus the relay
+    // hop. The WAL frame carries the relayed priority; it is encoded only
+    // when a WAL will take it. Detector/rule analysis stays node-side (it
+    // already ran there).
     hooks.relay_apply = [this](const core::SampleBatch& batch,
-                               core::Priority priority) -> std::size_t {
+                               core::Priority priority) {
+      transport::Frame frame;
       if (wal_delivery_) {
-        auto frame = transport::encode_samples(batch);
+        frame = transport::encode_samples(batch);
         frame.priority = priority;
-        wal_delivery_->deliver(frame);
       }
-      std::size_t applied = 0;
-      if (ingest_) {
-        ingest_->submit(batch);
-        applied = batch.samples.size();
-      } else {
-        applied = sync_append(batch.samples);
-      }
-      if (serve_) serve_->publish_batch(batch);
-      return applied;
+      return commit(batch, wal_delivery_ ? &frame : nullptr, false);
     };
     serve_ = std::make_unique<serve::ServeServer>(sc, std::move(hooks));
     serve_->start();
@@ -526,12 +483,9 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
           self.samples = exporter_.to_samples(obs_snapshot(),
                                               cluster_.registry(),
                                               self_component_, t);
-          if (ingest_) {
-            ingest_->submit(self);
-          } else {
-            sync_append(self.samples);
-          }
-          if (serve_) serve_->publish_batch(self);
+          // Not WAL'd: the end-to-end benchmark checks WAL samples ==
+          // collected samples (see ROADMAP). Not relayed: node-local.
+          commit(self, nullptr, false);
         });
   }
 
@@ -565,22 +519,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
                                                a.event.score)});
                         }
                       }
-                      // Write-ahead: the frame is durable (or dead-lettered
-                      // and counted) before the in-memory store sees it.
-                      if (wal_delivery_) wal_delivery_->deliver(f);
-                      if (ingest_) {
-                        ingest_->submit(batch.value());
-                      } else {
-                        sync_append(batch.value().samples);
-                      }
-                      // Live-subscription tap: fan the batch out to serve
-                      // clients through bounded egress queues (never blocks
-                      // on a slow client).
-                      if (serve_) serve_->publish_batch(batch.value());
-                      // Upstream tap: hand the batch to the relay tier for
-                      // durable forwarding (never blocks; sheds bulk first
-                      // under pressure, critical never).
-                      if (relay_) relay_->submit(batch.value());
+                      commit(batch.value(), &f, true);
                     });
   router_.subscribe(transport::FrameType::kLogs,
                     [this](const transport::Frame& f) { on_log_frame(f); });
@@ -607,16 +546,7 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
   }
 
   // Job lifecycle -> job store.
-  cluster_.scheduler().set_on_start([this](const sim::JobRecord& rec) {
-    store::JobMeta m;
-    m.id = rec.id;
-    m.app_name = rec.request.profile.name;
-    m.nodes = rec.nodes;
-    m.submit_time = rec.submit_time;
-    m.start_time = rec.start_time;
-    jobs_.record_start(m);
-  });
-  cluster_.scheduler().set_on_end([this](const sim::JobRecord& rec) {
+  const auto job_meta = [](const sim::JobRecord& rec) {
     store::JobMeta m;
     m.id = rec.id;
     m.app_name = rec.request.profile.name;
@@ -625,7 +555,14 @@ MonitoringStack::MonitoringStack(sim::Cluster& cluster,
     m.start_time = rec.start_time;
     m.end_time = rec.end_time;
     m.failed = rec.state == sim::JobState::kFailed;
-    jobs_.record_end(m);
+    return m;
+  };
+  cluster_.scheduler().set_on_start(
+      [this, job_meta](const sim::JobRecord& rec) {
+        jobs_.record_start(job_meta(rec));
+      });
+  cluster_.scheduler().set_on_end([this, job_meta](const sim::JobRecord& rec) {
+    jobs_.record_end(job_meta(rec));
   });
 
   // Job gating.
@@ -677,16 +614,25 @@ ShutdownReport MonitoringStack::shutdown(std::chrono::milliseconds deadline) {
   return report;
 }
 
-std::size_t MonitoringStack::sync_append(
-    const std::vector<core::Sample>& samples) {
-  const auto appended = tsdb_.hot().append_batch(samples);
-  // Observing the whole batch (including any store-rejected out-of-order
-  // samples) is harmless: the tree keeps only each series' max-time value
-  // and the merge discards anything older than the applied last_time.
-  if (rollup_) {
-    rollup_->observe(0, std::span<const core::Sample>(samples));
+std::size_t MonitoringStack::commit(const core::SampleBatch& batch,
+                                    const transport::Frame* wal_frame,
+                                    bool forward) {
+  // Write-ahead: the frame is durable (or dead-lettered and counted) before
+  // the in-memory store sees it.
+  if (wal_delivery_ && wal_frame) wal_delivery_->deliver(*wal_frame);
+  std::size_t applied = batch.samples.size();
+  if (ingest_) {
+    ingest_->submit(batch);
+  } else {
+    applied = store_.append_batch(batch.samples);
   }
-  return appended;
+  // Live-subscription tap: fan the batch out to serve clients through
+  // bounded egress queues (never blocks on a slow client).
+  if (serve_) serve_->publish_batch(batch);
+  // Upstream tap: hand the batch to the relay tier for durable forwarding
+  // (never blocks; sheds bulk first under pressure, critical never).
+  if (relay_ && forward) relay_->submit(batch);
+  return applied;
 }
 
 void MonitoringStack::rollup_tick() {
@@ -745,7 +691,7 @@ void MonitoringStack::run_compaction(core::TimePoint now) {
 void MonitoringStack::refresh_live_gauges() const {
   if (queue_fill_gauge_ != nullptr && ingest_) {
     std::size_t depth = 0;
-    for (std::size_t i = 0; i < sharded_->shard_count(); ++i) {
+    for (std::size_t i = 0; i < store_.shard_count(); ++i) {
       depth = std::max(depth, ingest_->queue_depth(i));
     }
     queue_fill_gauge_->set(
@@ -798,7 +744,7 @@ void MonitoringStack::on_log_frame(const transport::Frame& frame) {
 }
 
 std::string MonitoringStack::status() const {
-  const auto st = ingest_ ? sharded_->stats() : tsdb_.hot().stats();
+  const auto st = store_.stats();
   std::string line = core::strformat(
       "t=%s series=%zu points=%zu logs=%zu jobs=%zu "
       "alerts_active=%zu actions=%zu",
@@ -808,7 +754,7 @@ std::string MonitoringStack::status() const {
   if (ingest_) {
     line += core::strformat(
         " | shards=%zu policy=%s",
-        sharded_->shard_count(),
+        store_.shard_count(),
         std::string(ingest::to_string(ingest_->config().policy)).c_str());
   }
   if (degradation_) {

@@ -23,10 +23,11 @@
 //   gate_pre / gate_post (false) CSCS-style GPU job gating
 //   gate_repair_s       (1800)
 //   quarantine_on_hw_critical (false) automated node quarantine action
-//   ingest_shards       (0)     >0 routes numeric samples through the
-//                               threaded sharded ingest tier (src/ingest)
-//                               instead of the synchronous hot-store
-//                               append; 0 keeps the deterministic default
+//   ingest_shards       (0)     shards of the one numeric store; >0 also
+//                               runs the threaded ingest pipeline
+//                               (src/ingest), one worker per shard. 0 keeps
+//                               the deterministic default: one shard,
+//                               appended inline on the committing thread
 //   ingest_queue_cap    (256)   bounded sub-batches per shard queue
 //   ingest_policy       (block) overload policy: block|drop_oldest|reject
 //   ingest_coalesce     (16)    max sub-batches merged per shard append
@@ -200,20 +201,13 @@ class MonitoringStack {
   ~MonitoringStack();
 
   // -- Data access -----------------------------------------------------------
-  /// Holder of the synchronous numeric store (the active store unless
-  /// ingest_shards > 0). Kept as a holder so existing tsdb().hot() callers,
-  /// the e2e bench harness among them, compile unchanged.
-  class SyncStore {
-   public:
-    explicit SyncStore(std::size_t chunk_points) : hot_(chunk_points) {}
-    store::TimeSeriesStore& hot() { return hot_; }
-    const store::TimeSeriesStore& hot() const { return hot_; }
-
-   private:
-    store::TimeSeriesStore hot_;
+  /// tsdb().hot() is the one numeric store, the object sharded_store()
+  /// points to; the accessor pair is kept so existing callers compile.
+  struct StoreHandle {
+    ingest::ShardedTimeSeriesStore& hot() const { return store; }
+    ingest::ShardedTimeSeriesStore& store;
   };
-  SyncStore& tsdb() { return tsdb_; }
-  const SyncStore& tsdb() const { return tsdb_; }
+  StoreHandle tsdb() { return {store_}; }
   store::LogStore& logs() { return logs_; }
   store::JobStore& jobs() { return jobs_; }
   transport::EventRouter& router() { return router_; }
@@ -225,14 +219,15 @@ class MonitoringStack {
   sim::Cluster& cluster() { return cluster_; }
 
   /// Threaded ingest tier; nullptr unless ingest_shards > 0. When enabled,
-  /// numeric samples land in sharded_store() (asynchronously — call
+  /// numeric samples land in sharded_store() asynchronously (call
   /// drain_ingest() before querying) and the pipeline's self-metrics are
   /// re-ingested as "ingest.*" series every sample sweep.
   ingest::IngestPipeline* ingest_pipeline() { return ingest_.get(); }
+  /// The one numeric store (never null): max(1, ingest_shards) shards.
   const ingest::ShardedTimeSeriesStore* sharded_store() const {
-    return sharded_.get();
+    return &store_;
   }
-  ingest::ShardedTimeSeriesStore* sharded_store() { return sharded_.get(); }
+  ingest::ShardedTimeSeriesStore* sharded_store() { return &store_; }
   /// Wait until the ingest tier has appended everything submitted so far.
   void drain_ingest() {
     if (ingest_) ingest_->drain();
@@ -311,12 +306,9 @@ class MonitoringStack {
     return gate_ ? &gate_->stats() : nullptr;
   }
 
-  /// Read-path self-metrics of whichever numeric store is active (the
-  /// sharded ingest tier when enabled, the hot store otherwise); also
-  /// reported as store.* in status().
-  store::QueryStats store_query_stats() const {
-    return ingest_ ? sharded_->query_stats() : tsdb_.hot().query_stats();
-  }
+  /// Read-path self-metrics of the numeric store; also reported as store.*
+  /// in status().
+  store::QueryStats store_query_stats() const { return store_.query_stats(); }
 
   // -- Self-observability ----------------------------------------------------
   /// The one catalog every tier's instruments live in.
@@ -337,10 +329,14 @@ class MonitoringStack {
   void on_log_frame(const transport::Frame& frame);
   void apply_degradation(core::DegradationMode mode);
   void refresh_live_gauges() const;
-  /// Synchronous numeric append (the non-ingest path): the hot store takes
-  /// the batch, then the rollup tree (when enabled) observes it, exactly as
-  /// the sharded appenders do on the threaded path.
-  std::size_t sync_append(const std::vector<core::Sample>& samples);
+  /// The one numeric commit path: WAL `wal_frame` (nullptr keeps the batch
+  /// out), store (inline without a pipeline; rollup observes either way),
+  /// serve fan-out, relay when `forward`. Absent tiers are skipped, so WAL
+  /// replay, which runs before the WAL, pipeline, serve and relay exist,
+  /// only stores. Returns the store's accepted count inline, the whole
+  /// batch when the pipeline takes it.
+  std::size_t commit(const core::SampleBatch& batch,
+                     const transport::Frame* wal_frame, bool forward);
 
   sim::Cluster& cluster_;
   // Declared before every tier: instruments attach into the registry at
@@ -351,7 +347,6 @@ class MonitoringStack {
   obs::ObsExporter exporter_;
   mutable resilience::HealthSignalAssembler health_assembler_;
   transport::EventRouter router_;
-  SyncStore tsdb_;
   store::LogStore logs_;
   store::JobStore jobs_;
   analysis::RuleEngine rules_;
@@ -363,13 +358,13 @@ class MonitoringStack {
   std::unique_ptr<response::HealthGate> gate_;
   std::unique_ptr<analysis::NoveltyDetector> novelty_;
   std::vector<analysis::NoveltyEvent> novelty_reports_;
-  // Declared before the ingest tier: the shard appenders observe every
-  // sample into the tree, so the tree must outlive them (ingest_ joins its
-  // workers first, then sharded_ goes, then rollup_).
+  // Declared before the store: its appenders observe every sample into the
+  // tree, so the tree must outlive them (ingest_ joins its workers first,
+  // then store_ goes, then rollup_).
   std::unique_ptr<rollup::RollupTree> rollup_;
   // Declaration order matters: ingest_ is destroyed (joining its workers)
-  // before sharded_, which the workers append into.
-  std::unique_ptr<ingest::ShardedTimeSeriesStore> sharded_;
+  // before store_, which the workers append into.
+  ingest::ShardedTimeSeriesStore store_;
   std::unique_ptr<ingest::IngestPipeline> ingest_;
   // Resilience tier (all optional, see config keys above).
   std::unique_ptr<resilience::WriteAheadLog> wal_;
@@ -379,14 +374,12 @@ class MonitoringStack {
                                                             // collection_
   std::unique_ptr<resilience::DegradationController> degradation_;
   // Tiered retention: the durable tier ladder, the compactor that drives
-  // it, the breaker that guards its I/O, and the merged read views the
-  // serving tier binds. Declared after the hot stores they reference.
+  // it, the breaker that guards its I/O, and the merged read view the
+  // serving tier binds. Declared after the store they reference.
   std::unique_ptr<store::TierStore> tiers_;
   std::unique_ptr<store::Compactor> compactor_;
   std::unique_ptr<resilience::CircuitBreaker> compact_breaker_;
-  std::unique_ptr<store::TierSpanView<store::TimeSeriesStore>> span_hot_;
-  std::unique_ptr<store::TierSpanView<ingest::ShardedTimeSeriesStore>>
-      span_sharded_;
+  std::unique_ptr<store::TierSpanView<ingest::ShardedTimeSeriesStore>> span_;
   std::int64_t tier_disk_budget_bytes_ = 0;
   // Declared after the stores/ingest tier: destroyed first, so the serve
   // threads stop answering before the data they serve is torn down.

@@ -65,6 +65,14 @@ struct ChunkSummary {
   friend bool operator==(const ChunkSummary&, const ChunkSummary&) = default;
 };
 
+/// Start of the downsample bucket holding `t` (>= begin) on the grid every
+/// store and view shares: buckets start at begin + k * bucket.
+inline core::TimePoint downsample_bucket(core::TimePoint begin,
+                                         core::TimePoint t,
+                                         core::Duration bucket) {
+  return begin + (t - begin) / bucket * bucket;
+}
+
 /// Answer an aggregate from a summary alone; nullopt when no points.
 inline std::optional<double> summary_aggregate(const ChunkSummary& s, Agg agg) {
   if (s.count == 0) return std::nullopt;

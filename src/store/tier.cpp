@@ -80,12 +80,6 @@ struct Reader {
   double f64() { double v = 0; get(&v, 8); return v; }
 };
 
-core::TimePoint bucket_start(core::TimePoint t, core::Duration b) {
-  auto q = t / b;
-  if (t % b < 0) --q;
-  return q * b;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- TierFile
@@ -1016,8 +1010,10 @@ std::vector<core::TimedValue> TierStore::downsample(
   if (bucket <= 0) return out;
   std::map<core::TimePoint, ChunkSummary> buckets;
   std::vector<core::TimedValue> scratch;  // reused batch-decode buffer
+  // Buckets sit on the range.begin grid, like TimeSeriesStore::downsample,
+  // so a span view's tier and hot halves agree on every bucket start.
   for (const auto& [file, e] : entries_for(series, range)) {
-    const auto b0 = bucket_start(e->min_time, bucket);
+    const auto b0 = downsample_bucket(range.begin, e->min_time, bucket);
     if (range.begin <= e->min_time && e->max_time < range.end &&
         e->max_time < b0 + bucket) {
       // Whole entry inside one bucket: its raw summary is the exact
@@ -1036,7 +1032,7 @@ std::vector<core::TimedValue> TierStore::downsample(
     decode_all(chunk.value(), scratch);
     for (const auto& p : scratch) {
       if (p.time >= range.begin && p.time < range.end) {
-        buckets[bucket_start(p.time, bucket)].add(p);
+        buckets[downsample_bucket(range.begin, p.time, bucket)].add(p);
       }
     }
   }

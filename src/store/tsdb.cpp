@@ -290,7 +290,7 @@ std::vector<TimedValue> TimeSeriesStore::downsample(SeriesId id,
   // open bucket is always the back of the list.
   std::vector<std::pair<TimePoint, ChunkSummary>> buckets;
   const auto bucket_start = [&](TimePoint t) {
-    return range.begin + (t - range.begin) / bucket * bucket;
+    return downsample_bucket(range.begin, t, bucket);
   };
   const auto acc_for = [&](TimePoint bs) -> ChunkSummary& {
     if (buckets.empty() || buckets.back().first != bs) {

@@ -52,6 +52,32 @@ Result<SampleBatch> decode_samples(const Frame& frame) {
   return batch;
 }
 
+Result<SampleFrameInfo> inspect_samples(const Frame& frame) {
+  if (frame.type != FrameType::kSamples) {
+    return Result<SampleFrameInfo>::error("frame is not a sample batch");
+  }
+  ByteReader r(frame.payload);
+  SampleFrameInfo info;
+  std::uint32_t origin = 0;
+  if (!r.i64(info.max_time) || !r.u32(origin) || !r.u32(info.count)) {
+    return Result<SampleFrameInfo>::error("truncated sample frame header");
+  }
+  constexpr std::size_t kSampleBytes = 4 + 8 + 8;  // series, time, value
+  if (r.remaining() != info.count * kSampleBytes) {
+    return Result<SampleFrameInfo>::error("sample frame body != its count");
+  }
+  for (std::uint32_t i = 0; i < info.count; ++i) {
+    std::uint32_t series = 0;
+    core::TimePoint t = 0;
+    double value = 0.0;
+    r.u32(series);
+    r.i64(t);
+    r.f64(value);
+    info.max_time = std::max(info.max_time, t);
+  }
+  return info;
+}
+
 Frame encode_logs(const std::vector<LogEvent>& events) {
   Frame f;
   f.type = FrameType::kLogs;

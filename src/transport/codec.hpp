@@ -110,6 +110,15 @@ class ByteReader {
 Frame encode_samples(const core::SampleBatch& batch);
 core::Result<core::SampleBatch> decode_samples(const Frame& frame);
 
+/// What a sample frame holds, read without building the batch.
+struct SampleFrameInfo {
+  std::uint32_t count = 0;
+  core::TimePoint max_time = 0;  // newest of the sweep and sample times
+};
+/// Fails on a frame of another type, or one whose body is not exactly the
+/// `count` samples its header declares.
+core::Result<SampleFrameInfo> inspect_samples(const Frame& frame);
+
 Frame encode_logs(const std::vector<core::LogEvent>& events);
 core::Result<std::vector<core::LogEvent>> decode_logs(const Frame& frame);
 

@@ -398,9 +398,8 @@ TEST(StackIngestTest, ConfigEnablesShardedIngestTier) {
 
   cluster.run_for(10 * core::kMinute);
   stack.drain_ingest();
-  // Samples landed in the sharded store, not the synchronous hot tier.
+  // Samples landed in the sharded store.
   EXPECT_GT(stack.sharded_store()->stats().points, 0u);
-  EXPECT_EQ(stack.tsdb().hot().stats().points, 0u);
   // The stack's own counters were re-ingested as hpcmon.self.* series.
   const auto metric =
       cluster.registry().find_metric("hpcmon.self.ingest.accepted_samples");
@@ -425,10 +424,15 @@ TEST(StackIngestTest, DefaultConfigStaysSynchronous) {
   cfg.set_int("health_interval_s", 0);
   sim::Cluster cluster(params);
   stack::MonitoringStack stack(cluster, cfg);
+  // The default is the same store with one shard, appended inline: no
+  // pipeline, so every sweep has landed by the time run_for returns.
   EXPECT_EQ(stack.ingest_pipeline(), nullptr);
-  EXPECT_EQ(stack.sharded_store(), nullptr);
+  ASSERT_NE(stack.sharded_store(), nullptr);
+  EXPECT_EQ(stack.sharded_store()->shard_count(), 1u);
+  EXPECT_EQ(&stack.tsdb().hot(), stack.sharded_store());
   cluster.run_for(5 * core::kMinute);
-  EXPECT_GT(stack.tsdb().hot().stats().points, 0u);
+  EXPECT_GT(stack.sharded_store()->stats().points, 0u);
+  EXPECT_EQ(stack.status().find("shards="), std::string::npos);
 }
 
 }  // namespace

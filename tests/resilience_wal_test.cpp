@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "resilience/fault.hpp"
+#include "transport/codec.hpp"
 
 namespace hpcmon::resilience {
 namespace {
@@ -32,6 +33,10 @@ SampleBatch make_batch(core::TimePoint sweep, int n = 8) {
   return b;
 }
 
+transport::Frame make_frame(core::TimePoint sweep, int n = 8) {
+  return transport::encode_samples(make_batch(sweep, n));
+}
+
 std::vector<SampleBatch> replay_all(const std::string& dir,
                                     ReplayStats* stats = nullptr) {
   std::vector<SampleBatch> out;
@@ -46,7 +51,7 @@ TEST(WalTest, AppendReplayRoundTrip) {
   {
     WriteAheadLog wal({.dir = dir});
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(wal.append(make_batch((i + 1) * core::kMinute)).is_ok());
+      ASSERT_TRUE(wal.append(make_frame((i + 1) * core::kMinute)).is_ok());
     }
     EXPECT_EQ(wal.stats().appended_records, 3u);
     EXPECT_EQ(wal.stats().appended_samples, 24u);
@@ -72,8 +77,38 @@ TEST(WalTest, AppendReplayRoundTrip) {
 TEST(WalTest, EmptyBatchIsNoOp) {
   const auto dir = fresh_dir("empty");
   WriteAheadLog wal({.dir = dir});
-  EXPECT_TRUE(wal.append(SampleBatch{}).is_ok());
+  EXPECT_TRUE(wal.append(transport::encode_samples(SampleBatch{})).is_ok());
   EXPECT_EQ(wal.stats().appended_records, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(WalTest, MalformedFrameIsRefusedWithATypedError) {
+  const auto dir = fresh_dir("malformed");
+  WriteAheadLog wal({.dir = dir});
+  auto wrong_type = make_frame(core::kMinute);
+  wrong_type.type = transport::FrameType::kLogs;
+  auto short_header = make_frame(core::kMinute);
+  short_header.payload.resize(15);  // the header is 16 bytes
+  auto short_body = make_frame(core::kMinute);
+  short_body.payload.pop_back();
+  auto long_body = make_frame(core::kMinute);
+  long_body.payload.push_back(0);
+  for (const auto* f : {&wrong_type, &short_header, &short_body, &long_body}) {
+    const auto st = wal.append(*f);
+    EXPECT_FALSE(st.is_ok());
+    EXPECT_EQ(st.code(), core::StatusCode::kCorruption) << st.message();
+  }
+  // Nothing was written, and the log is not poisoned by a caller's bad frame.
+  EXPECT_EQ(wal.stats().appended_records, 0u);
+  EXPECT_EQ(wal.stats().append_failures, 0u);
+  EXPECT_FALSE(wal.poisoned());
+  const auto good = make_frame(2 * core::kMinute);
+  ASSERT_TRUE(wal.append(good).is_ok());
+  // The record is the frame's payload unchanged behind its 8-byte header.
+  EXPECT_EQ(wal.stats().appended_bytes, 8 + good.payload.size());
+  const auto batches = replay_all(dir);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].samples, make_batch(2 * core::kMinute).samples);
   fs::remove_all(dir);
 }
 
@@ -83,7 +118,7 @@ TEST(WalTest, RotationSealsSegments) {
     // Tiny segments: every append exceeds the threshold and seals.
     WriteAheadLog wal({.dir = dir, .segment_bytes = 64});
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(wal.append(make_batch((i + 1) * core::kMinute)).is_ok());
+      ASSERT_TRUE(wal.append(make_frame((i + 1) * core::kMinute)).is_ok());
     }
     EXPECT_EQ(wal.sealed_segments(), 5u);
     EXPECT_EQ(wal.stats().segments_created, 6u);  // 5 sealed + active
@@ -102,7 +137,7 @@ TEST(WalTest, TruncateBeforeDropsOnlySealedOldSegments) {
   const auto dir = fresh_dir("truncate");
   WriteAheadLog wal({.dir = dir, .segment_bytes = 64});
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(wal.append(make_batch((i + 1) * core::kMinute)).is_ok());
+    ASSERT_TRUE(wal.append(make_frame((i + 1) * core::kMinute)).is_ok());
   }
   ASSERT_EQ(wal.sealed_segments(), 4u);
   // Newest sample in segment i is (i+1)min + 7us; cutoff past segment 2.
@@ -118,7 +153,7 @@ TEST(WalTest, TruncateBeforeDropsOnlySealedOldSegments) {
   // Cutoff beyond everything: sealed segments go, the active one stays.
   wal.truncate_before(core::kHour);
   EXPECT_EQ(wal.sealed_segments(), 0u);
-  ASSERT_TRUE(wal.append(make_batch(core::kHour)).is_ok());
+  ASSERT_TRUE(wal.append(make_frame(core::kHour)).is_ok());
   fs::remove_all(dir);
 }
 
@@ -126,12 +161,12 @@ TEST(WalTest, TornTailToleratedOnReplay) {
   const auto dir = fresh_dir("torn");
   {
     WriteAheadLog wal({.dir = dir});
-    ASSERT_TRUE(wal.append(make_batch(core::kMinute)).is_ok());
-    ASSERT_TRUE(wal.append(make_batch(2 * core::kMinute)).is_ok());
+    ASSERT_TRUE(wal.append(make_frame(core::kMinute)).is_ok());
+    ASSERT_TRUE(wal.append(make_frame(2 * core::kMinute)).is_ok());
     wal.simulate_torn_tail();
     EXPECT_TRUE(wal.poisoned());
     // The poisoned log refuses further appends (damage bounded to the tear).
-    EXPECT_FALSE(wal.append(make_batch(3 * core::kMinute)).is_ok());
+    EXPECT_FALSE(wal.append(make_frame(3 * core::kMinute)).is_ok());
     EXPECT_EQ(wal.stats().append_failures, 2u);
   }
   ReplayStats stats;
@@ -150,7 +185,7 @@ TEST(WalTest, CorruptRecordSkippedScanContinues) {
   {
     WriteAheadLog wal({.dir = dir});
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(wal.append(make_batch((i + 1) * core::kMinute)).is_ok());
+      ASSERT_TRUE(wal.append(make_frame((i + 1) * core::kMinute)).is_ok());
     }
     segment = dir + "/wal-00000001.seg";
   }
@@ -208,14 +243,14 @@ TEST(WalTest, ReopenSealsPriorIncarnationsSegments) {
   const auto dir = fresh_dir("reopen");
   {
     WriteAheadLog wal({.dir = dir});
-    ASSERT_TRUE(wal.append(make_batch(core::kMinute)).is_ok());
+    ASSERT_TRUE(wal.append(make_frame(core::kMinute)).is_ok());
     EXPECT_EQ(wal.active_segment_index(), 1u);
   }
   {
     WriteAheadLog wal({.dir = dir});
     EXPECT_EQ(wal.sealed_segments(), 1u);
     EXPECT_EQ(wal.active_segment_index(), 2u);
-    ASSERT_TRUE(wal.append(make_batch(2 * core::kMinute)).is_ok());
+    ASSERT_TRUE(wal.append(make_frame(2 * core::kMinute)).is_ok());
   }
   const auto batches = replay_all(dir);
   ASSERT_EQ(batches.size(), 2u);
@@ -233,10 +268,10 @@ TEST(WalTest, InjectedErrorFailsOneAppend) {
   FaultPlan plan(1234, spec);
   {
     WriteAheadLog wal({.dir = dir, .faults = &plan});
-    EXPECT_TRUE(wal.append(make_batch(core::kMinute)).is_ok());
-    EXPECT_FALSE(wal.append(make_batch(2 * core::kMinute)).is_ok());
+    EXPECT_TRUE(wal.append(make_frame(core::kMinute)).is_ok());
+    EXPECT_FALSE(wal.append(make_frame(2 * core::kMinute)).is_ok());
     EXPECT_FALSE(wal.poisoned());  // plain error, not a torn write
-    EXPECT_TRUE(wal.append(make_batch(3 * core::kMinute)).is_ok());
+    EXPECT_TRUE(wal.append(make_frame(3 * core::kMinute)).is_ok());
     EXPECT_EQ(wal.stats().append_failures, 1u);
     EXPECT_EQ(wal.stats().appended_records, 2u);
   }
@@ -255,12 +290,12 @@ TEST(WalTest, InjectedEnospcFailsAppendWithoutPoisoning) {
   FaultPlan plan(1234, spec);
   {
     WriteAheadLog wal({.dir = dir, .faults = &plan});
-    EXPECT_TRUE(wal.append(make_batch(core::kMinute)).is_ok());
-    EXPECT_FALSE(wal.append(make_batch(2 * core::kMinute)).is_ok());
+    EXPECT_TRUE(wal.append(make_frame(core::kMinute)).is_ok());
+    EXPECT_FALSE(wal.append(make_frame(2 * core::kMinute)).is_ok());
     // A full disk rejects the record cleanly; nothing was half-written, so
     // the log is not poisoned and recovers as soon as space returns.
     EXPECT_FALSE(wal.poisoned());
-    EXPECT_TRUE(wal.append(make_batch(3 * core::kMinute)).is_ok());
+    EXPECT_TRUE(wal.append(make_frame(3 * core::kMinute)).is_ok());
   }
   EXPECT_EQ(plan.injected().fs_enospc, 1u);
   const auto batches = replay_all(dir);
@@ -275,9 +310,9 @@ TEST(WalTest, InjectedShortWriteTearsAndPoisons) {
   FaultPlan plan(1234, spec);
   {
     WriteAheadLog wal({.dir = dir, .faults = &plan});
-    EXPECT_TRUE(wal.append(make_batch(core::kMinute)).is_ok());
-    EXPECT_TRUE(wal.append(make_batch(2 * core::kMinute)).is_ok());
-    EXPECT_FALSE(wal.append(make_batch(3 * core::kMinute)).is_ok());
+    EXPECT_TRUE(wal.append(make_frame(core::kMinute)).is_ok());
+    EXPECT_TRUE(wal.append(make_frame(2 * core::kMinute)).is_ok());
+    EXPECT_FALSE(wal.append(make_frame(3 * core::kMinute)).is_ok());
     EXPECT_TRUE(wal.poisoned());
   }
   EXPECT_EQ(plan.injected().fs_short_writes, 1u);
@@ -295,8 +330,8 @@ TEST(WalTest, InjectedCrashLooksLikeATornTail) {
   FaultPlan plan(1234, spec);
   {
     WriteAheadLog wal({.dir = dir, .faults = &plan});
-    EXPECT_TRUE(wal.append(make_batch(core::kMinute)).is_ok());
-    EXPECT_FALSE(wal.append(make_batch(2 * core::kMinute)).is_ok());
+    EXPECT_TRUE(wal.append(make_frame(core::kMinute)).is_ok());
+    EXPECT_FALSE(wal.append(make_frame(2 * core::kMinute)).is_ok());
     EXPECT_TRUE(wal.poisoned());
   }
   EXPECT_EQ(plan.injected().fs_crashes, 1u);

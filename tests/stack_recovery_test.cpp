@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace hpcmon::stack {
 namespace {
@@ -162,8 +165,8 @@ TEST(StackRecoveryTest, WalTruncatesOnlyBehindTheTierWatermark) {
   std::vector<core::SeriesId> series;
   std::vector<std::vector<core::TimedValue>> before;
   {
-    const store::TierSpanView<store::TimeSeriesStore> span(
-        stack->tiers(), &stack->tsdb().hot());
+    const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
+        stack->tiers(), stack->sharded_store());
     for (std::uint32_t i = 0; i < reg.series_count(); ++i) {
       const core::SeriesId sid{i};
       if (reg.metric(reg.series_metric(sid)).name.starts_with("hpcmon.self.")) {
@@ -181,8 +184,8 @@ TEST(StackRecoveryTest, WalTruncatesOnlyBehindTheTierWatermark) {
   MonitoringStack recovered(cluster, parse(cfg));
   ASSERT_NE(recovered.tiers(), nullptr);
   EXPECT_GT(recovered.replay_stats().samples, 0u);
-  const store::TierSpanView<store::TimeSeriesStore> span(
-      recovered.tiers(), &recovered.tsdb().hot());
+  const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
+      recovered.tiers(), recovered.sharded_store());
   std::size_t tier_spanning = 0;
   for (std::size_t k = 0; k < series.size(); ++k) {
     EXPECT_EQ(span.query_range(series[k], all), before[k])
@@ -233,6 +236,100 @@ TEST(StackRecoveryTest, StatusSurfacesWalAndDeadLetters) {
       cluster.registry().find_metric("hpcmon.self.resilience.wal_records"));
   fs::remove_all(wal_dir);
 }
+
+// What a stack holds once drained, keyed by series name (SeriesIds differ
+// across configs: only a pipeline registers hpcmon.self.ingest.* series).
+// hpcmon.self.* is left out: those are the stack's own, config-dependent
+// counters, and they never enter the WAL.
+struct Holdings {
+  std::map<std::string, std::vector<core::TimedValue>> history;
+  std::map<std::string, rollup::RollupStat> system_level;
+};
+
+Holdings holdings(MonitoringStack& stack) {
+  Holdings h;
+  auto& reg = stack.cluster().registry();
+  const core::TimeRange all{0, stack.cluster().now() + core::kSecond};
+  const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
+      stack.tiers(), stack.sharded_store());
+  for (std::uint32_t i = 0; i < reg.series_count(); ++i) {
+    const auto name = reg.series_name(core::SeriesId{i});
+    if (name.starts_with("hpcmon.self.")) continue;
+    h.history[name] = span.query_range(core::SeriesId{i}, all);
+  }
+  if (stack.rollup() != nullptr) {
+    stack.rollup_tick();
+    const auto snap = stack.rollup()->snapshot();
+    const auto system = stack.cluster().topology().system();
+    for (const auto& metric : snap->metrics()) {
+      if (metric.starts_with("hpcmon.self.")) continue;
+      if (const auto* stat = snap->find(system, metric)) {
+        h.system_level[metric] = *stat;
+      }
+    }
+  }
+  return h;
+}
+
+struct OneStoreRun {
+  Holdings before_crash;
+  Holdings replayed;
+};
+
+/// Seeded sweeps through a stack with WAL, tiers and rollup on
+/// `ingest_shards` shards; drained after every sweep so the pipeline's
+/// compaction passes see what the inline path sees. Then a crash and a
+/// restart on the same directories.
+OneStoreRun run_one_store(int shards) {
+  const auto tag = "one_store_" + std::to_string(shards);
+  const auto wal_dir = fresh_wal_dir(tag + "_wal");
+  const auto tier_dir = fresh_wal_dir(tag + "_tiers");
+  const std::string cfg =
+      "sample_interval_s = 30\nchunk_points = 32\ntier_hot_window_s = 1800\n"
+      "compact_interval_s = 600\nwal_segment_bytes = 8192\nrollup_enable = 1\n"
+      "ingest_shards = " + std::to_string(shards) + "\nwal_path = " + wal_dir +
+      "\ntier_dir = " + tier_dir + "\n";
+  sim::Cluster cluster(cluster_params());
+  OneStoreRun run;
+  {
+    auto stack = std::make_unique<MonitoringStack>(cluster, parse(cfg));
+    for (int sweep = 0; sweep < 2 * 120; ++sweep) {
+      cluster.run_for(30 * core::kSecond);
+      stack->drain_ingest();
+    }
+    EXPECT_GT(stack->tiers()->file_count(), 0u);  // history spans tiers
+    run.before_crash = holdings(*stack);
+    stack->simulate_crash();
+  }
+  MonitoringStack recovered(cluster, parse(cfg));
+  EXPECT_GT(recovered.replay_stats().samples, 0u);
+  recovered.drain_ingest();
+  run.replayed = holdings(recovered);
+  recovered.shutdown();
+  fs::remove_all(wal_dir);
+  fs::remove_all(tier_dir);
+  return run;
+}
+
+class OneStoreTest : public ::testing::TestWithParam<int> {};
+
+// ingest_shards only sets how many shards the one store has and whether a
+// pipeline feeds them: the stored history, its rollup and its crash
+// recovery are the same for 0 (one shard, inline), 1 and 2.
+TEST_P(OneStoreTest, ShardCountChangesNothingStored) {
+  static const OneStoreRun reference = run_one_store(0);
+  const OneStoreRun run = run_one_store(GetParam());
+  ASSERT_GT(reference.before_crash.history.size(), 100u);
+  ASSERT_FALSE(reference.before_crash.system_level.empty());
+  EXPECT_TRUE(run.before_crash.history == reference.before_crash.history);
+  EXPECT_TRUE(run.before_crash.system_level ==
+              reference.before_crash.system_level);
+  EXPECT_TRUE(run.replayed.history == reference.replayed.history);
+  // Recovery is byte-exact for every WAL-carried series.
+  EXPECT_TRUE(run.replayed.history == run.before_crash.history);
+}
+
+INSTANTIATE_TEST_SUITE_P(IngestShards, OneStoreTest, ::testing::Values(0, 1, 2));
 
 }  // namespace
 }  // namespace hpcmon::stack

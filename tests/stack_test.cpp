@@ -212,8 +212,8 @@ TEST(StackTest, CompactionScheduleTiersHistory) {
   const auto hot = stack.tsdb().hot().query_range(sid, all);
   // The oldest chunks left the hot store, yet the span view still answers
   // every sweep of the run exactly once, at full fidelity.
-  const store::TierSpanView<store::TimeSeriesStore> span(stack.tiers(),
-                                                         &stack.tsdb().hot());
+  const store::TierSpanView<ingest::ShardedTimeSeriesStore> span(
+      stack.tiers(), stack.sharded_store());
   const auto full = span.query_range(sid, all);
   ASSERT_FALSE(hot.empty());
   EXPECT_GT(hot.front().time, 30 * core::kSecond);

@@ -99,6 +99,43 @@ TEST(TierStoreTest, HotIngestMovesSealedChunksBehindTheWatermark) {
   EXPECT_EQ(cold.size(), pre_wm.size());
 }
 
+// A span view downsamples on one bucket grid, anchored at range.begin, on
+// both sides of the tier/hot seam: it answers exactly like one store that
+// holds every point, also when the range starts off a bucket multiple.
+TEST(TierStoreTest, SpanDownsampleMatchesOneStoreOffTheBucketGrid) {
+  const auto dir = scratch_dir("seam");
+  Rig rig(dir);
+  TimeSeriesStore every_point(4);
+  const SeriesId s{3};
+  for (int i = 0; i < 40; ++i) {  // 10 s points, t in [0, 390] s
+    ASSERT_TRUE(rig.hot.append(s, i * 10 * kSecond, i));
+    ASSERT_TRUE(every_point.append(s, i * 10 * kSecond, i));
+  }
+  // Pass at 250 s: chunks older than 190 s (t <= 150 s) move to tier 0, so
+  // the 145 s bucket is split across the seam.
+  ASSERT_TRUE(rig.compactor->run_pass(250 * kSecond).is_ok());
+  const TimeRange range{25 * kSecond, 1000 * kSecond};
+  ASSERT_FALSE(rig.tiers->query_range(s, range).empty());
+  ASSERT_FALSE(rig.hot.query_range(s, range).empty());
+
+  const TierSpanView<TimeSeriesStore> span(rig.tiers.get(), &rig.hot);
+  const core::Duration bucket = 60 * kSecond;
+  for (const auto agg : {Agg::kCount, Agg::kSum, Agg::kMean, Agg::kMin,
+                         Agg::kMax, Agg::kLast}) {
+    EXPECT_EQ(span.downsample(s, range, bucket, agg),
+              every_point.downsample(s, range, bucket, agg))
+        << to_string(agg);
+  }
+  // Buckets at 25, 85, 145, ... s with six points each; the last holds 390.
+  const auto counts = span.downsample(s, range, bucket, Agg::kCount);
+  ASSERT_EQ(counts.size(), 7u);
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    EXPECT_EQ(counts[b].time, 25 * kSecond + static_cast<core::TimePoint>(b) *
+                                                 bucket);
+    EXPECT_EQ(counts[b].value, b + 1 < counts.size() ? 6.0 : 1.0);
+  }
+}
+
 TEST(TierStoreTest, AggregatesStayExactAcrossAging) {
   const auto dir = scratch_dir("aging");
   Rig rig(dir);
